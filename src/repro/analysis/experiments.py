@@ -67,8 +67,6 @@ from ..exec.cache import (
 )
 from ..exec.pool import run_tasks
 from ..exec.resilience import GridJournal, RunHealth, TaskError
-from ..obs.artifacts import git_sha
-from ..obs.history import history_enabled, record_completion
 from ..obs.profiling import PhaseProfiler, ProgressReporter
 from ..obs.tracing import Span, Tracer, current_tracer
 from .metrics import RunMetrics, collect_metrics
@@ -371,10 +369,6 @@ class GridReport:
     journal_hits: int = 0
     failures: List[CellFailure] = field(default_factory=list)
     health: RunHealth = field(default_factory=RunHealth)
-    #: Row id in the run-history index, when the run was recorded
-    #: (see :mod:`repro.obs.history`); callers use it to attach
-    #: artifact/trace paths learned after the fact.
-    history_id: Optional[int] = None
 
     def aggregate_counter(self, name: str) -> int:
         """Sum one integer instrument across every worker snapshot."""
@@ -406,65 +400,6 @@ def grid_key(cells: Sequence[ExperimentCell], backlog_stride: int) -> str:
     return canonical_key({"grid": parts}, salt=code_salt())
 
 
-def _grid_history_name(cells: Sequence[ExperimentCell]) -> str:
-    """A human-recognizable label for a grid's history row."""
-    if len(cells) == 1:
-        return cells[0].name
-    return f"{cells[0].name}..{cells[-1].name}"
-
-
-def _record_grid_history(
-    report: GridReport,
-    cells: Sequence[ExperimentCell],
-    backlog_stride: int,
-    cache: Optional[ResultCache],
-    history: "Optional[bool | str | Path]",
-) -> None:
-    """Auto-record one grid completion in the run-history index.
-
-    ``history=False`` disables recording; a path records there; the
-    default records next to the cache the grid used (or the default
-    database).  Never raises — see :func:`repro.obs.history.record_completion`.
-    """
-    if history is False or not cells or not history_enabled():
-        return
-    if isinstance(history, (str, Path)):
-        db_path: "Optional[str | Path]" = history
-    elif cache is not None:
-        db_path = Path(cache.root) / "history.db"
-    else:
-        db_path = None
-    try:
-        spec_hash: Optional[str] = grid_key(cells, backlog_stride)
-    except Exception:
-        spec_hash = None
-    report.history_id = record_completion(
-        "grid",
-        _grid_history_name(cells),
-        db_path=db_path,
-        status="failed" if report.failures else "ok",
-        cells=len(cells),
-        cache_hits=report.cache_hits,
-        cache_misses=report.cache_misses,
-        journal_hits=report.journal_hits,
-        wall_s=report.wall_s,
-        jobs=report.jobs,
-        mode=report.mode,
-        spec_hash=spec_hash,
-        git_sha=git_sha(),
-        health=report.health.as_dict(),
-        extra={
-            "engines": sorted(
-                {
-                    r.engine_described or r.engine
-                    for r in report.results
-                    if r.engine
-                }
-            )
-        },
-    )
-
-
 def run_grid_report(
     cells: Sequence[ExperimentCell],
     backlog_stride: int = 8,
@@ -477,7 +412,6 @@ def run_grid_report(
     retries: int = 0,
     journal: "Optional[GridJournal | str]" = None,
     resume: bool = False,
-    history: "Optional[bool | str | Path]" = None,
     engine: str = "auto",
 ) -> GridReport:
     """Run a grid and report results plus execution/caching facts.
@@ -495,11 +429,9 @@ def run_grid_report(
     recomputed — :class:`~repro.exec.JournalMismatch` is raised if the
     journal belongs to a different grid.
 
-    Every completion is recorded in the run-history index
-    (``repro history list``); ``history`` overrides where (a database
-    path) or whether (``False``) — see :mod:`repro.obs.history`.  With
-    a tracer active the whole run is additionally wrapped in a ``grid``
-    span.
+    With a tracer active the whole run is wrapped in a ``grid`` span.
+    Nothing here writes run history: :func:`repro.service.execute`
+    records one row per grid request.
     """
     cells = list(cells)
     tracer = current_tracer()
@@ -541,7 +473,6 @@ def run_grid_report(
                 journal_hits=report.journal_hits,
                 failures=len(report.failures),
             )
-    _record_grid_history(report, cells, backlog_stride, cache, history)
     return report
 
 
@@ -559,7 +490,7 @@ def _run_grid_report(
     resume: bool = False,
     engine: str = "auto",
 ) -> GridReport:
-    """The engine behind :func:`run_grid_report` (which adds span+history)."""
+    """The engine behind :func:`run_grid_report` (which adds the span)."""
     started = time.perf_counter()
     results: List[Optional[CellResult]] = [None] * len(cells)
     keys: List[Optional[str]] = [None] * len(cells)
@@ -668,7 +599,6 @@ def run_grid(
     retries: int = 0,
     journal: "Optional[GridJournal | str]" = None,
     resume: bool = False,
-    history: "Optional[bool | str | Path]" = None,
     engine: str = "auto",
 ) -> List[CellResult]:
     """Run every cell; results in cell order (deterministic runs).
@@ -698,7 +628,6 @@ def run_grid(
         retries=retries,
         journal=journal,
         resume=resume,
-        history=history,
         engine=engine,
     )
     if report.failures:

@@ -21,14 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from pathlib import Path
-
 from ..core.errors import ConfigurationError
 from ..exec.cache import MISS, ResultCache, UncacheableValue
 from ..exec.pool import run_tasks
 from ..exec.resilience import RunHealth
-from ..obs.artifacts import git_sha
-from ..obs.history import history_enabled, record_completion
 from ..obs.profiling import ProgressReporter
 from ..obs.tracing import current_tracer
 
@@ -103,40 +99,6 @@ class SweepReport:
     cache_hits: int = 0
     cache_misses: int = 0
     health: RunHealth = field(default_factory=RunHealth)
-    #: Row id in the run-history index, when the sweep was recorded.
-    history_id: Optional[int] = None
-
-
-def _record_sweep_history(
-    report: "SweepReport",
-    measure: Callable[[int], Number],
-    seed_count: int,
-    cache: Optional[ResultCache],
-    history: "Optional[bool | str | Path]",
-) -> None:
-    """Auto-record one sweep completion (best-effort, never raises)."""
-    if history is False or not history_enabled():
-        return
-    if isinstance(history, (str, Path)):
-        db_path: "Optional[str | Path]" = history
-    elif cache is not None:
-        db_path = Path(cache.root) / "history.db"
-    else:
-        db_path = None
-    name = getattr(measure, "__qualname__", None) or repr(measure)
-    report.history_id = record_completion(
-        "sweep",
-        name,
-        db_path=db_path,
-        cells=seed_count,
-        cache_hits=report.cache_hits,
-        cache_misses=report.cache_misses,
-        wall_s=report.wall_s,
-        jobs=report.jobs,
-        mode=report.mode,
-        git_sha=git_sha(),
-        health=report.health.as_dict(),
-    )
 
 
 def sweep_seeds_report(
@@ -148,15 +110,14 @@ def sweep_seeds_report(
     progress: Optional[ProgressReporter] = None,
     task_timeout: Optional[float] = None,
     retries: int = 0,
-    history: "Optional[bool | str | Path]" = None,
 ) -> SweepReport:
     """Like :func:`sweep_seeds` but also reports execution facts.
 
     ``task_timeout`` and ``retries`` bound each seed's attempts — see
-    :func:`repro.exec.run_tasks` for the exact semantics.  Completions
-    are recorded in the run-history index (``history=False`` disables,
-    a path overrides the database location); with a tracer active the
-    run is wrapped in a ``sweep`` span.
+    :func:`repro.exec.run_tasks` for the exact semantics.  With a
+    tracer active the run is wrapped in a ``sweep`` span.  A sweep
+    writes no run history: only requests through
+    :func:`repro.service.execute` are recorded.
     """
     seeds = list(seeds)
     tracer = current_tracer()
@@ -182,7 +143,6 @@ def sweep_seeds_report(
                 retries=retries,
             )
             span.set(mode=report.mode, cache_hits=report.cache_hits)
-    _record_sweep_history(report, measure, report.stats.count, cache, history)
     return report
 
 
@@ -259,7 +219,6 @@ def sweep_seeds(
     progress: Optional[ProgressReporter] = None,
     task_timeout: Optional[float] = None,
     retries: int = 0,
-    history: "Optional[bool | str | Path]" = None,
 ) -> SweepStats:
     """Run ``measure(seed)`` over ``seeds``; aggregate the results.
 
@@ -280,5 +239,4 @@ def sweep_seeds(
         progress=progress,
         task_timeout=task_timeout,
         retries=retries,
-        history=history,
     ).stats

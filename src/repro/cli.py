@@ -974,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="filter by kind / name substring / status / date"
     )
     hquery_p.add_argument("--kind", default=None,
-                          help="run | grid | sweep | bench")
+                          help="run | grid | sst | serve | bench")
     hquery_p.add_argument("--name", default=None,
                           help="case-insensitive name substring")
     hquery_p.add_argument("--status", default=None, help="ok | failed")

@@ -10,7 +10,7 @@ from .errors import (
 )
 from .feedback import Feedback
 from .packet import Packet, PacketQueue
-from .simulator import Simulator, StationRuntime
+from .simulator import Simulator, StationRuntime, execution_signature
 from .station import (
     LISTEN,
     TRANSMIT_CONTROL,
@@ -77,5 +77,6 @@ __all__ = [
     "as_time",
     "check_slot_length",
     "declared_lattice_denominator",
+    "execution_signature",
     "make_interval",
 ]

@@ -32,7 +32,7 @@ the Fraction path for the whole run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
@@ -862,3 +862,35 @@ class Simulator:
     def max_slots_elapsed(self) -> int:
         """Maximum completed-slot count over stations (Theorem 1's measure)."""
         return max(rt.slots_elapsed for rt in self.stations.values())
+
+
+def execution_signature(sim: Simulator, *, drain: bool = True) -> Tuple:
+    """Every observable of a run, as one comparable value.
+
+    Two executions of one scenario must have equal signatures whatever
+    ran them — either engine, either timebase, probed or profiled or
+    not, one ``run()`` call or many; the parity tests and the perf
+    suite assert exactly that.  Covers the event count and clock, the
+    total and peak backlog, every delivered packet, the channel
+    counters, and each station's queue length.
+
+    ``drain`` (the default) finalizes in-flight transmissions first:
+    they finalize at different internal instants on the two timebases,
+    and parity is only promised at the observation boundary.  Pass
+    ``drain=False`` for a run that will be continued.
+    """
+    if drain:
+        sim.channel.drain_all(sim.now)
+    return (
+        sim.events_processed,
+        sim.now,
+        sim.total_backlog,
+        sim.trace.max_backlog,
+        tuple(
+            (p.packet_id, p.station_id, p.arrival_time, p.delivered_time,
+             p.cost)
+            for p in sim.delivered_packets
+        ),
+        astuple(sim.channel.stats),
+        tuple(sim.queue_size(sid) for sid in sim.station_ids),
+    )

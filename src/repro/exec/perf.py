@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.simulator import execution_signature
+
 __all__ = [
     "ADAPTIVE_WIN_MIN",
     "DEFAULT_CASES",
@@ -184,20 +186,8 @@ def _case_spec(case: PerfCase):
     )
 
 
-def _stats_tuple(sim) -> Tuple[Any, ...]:
-    stats = sim.channel.stats
-    return (
-        stats.transmissions,
-        stats.successes,
-        stats.collisions,
-        stats.control_transmissions,
-        stats.busy_time,
-        stats.success_time,
-    )
-
-
 def _run_dynamic(case: PerfCase, timebase: str, horizon: int):
-    """One timed dynamic run; returns (fingerprint, events, wall_s).
+    """One timed dynamic run: (execution signature, events, wall_s, timebase).
 
     The engine is pinned to the object loop: this suite isolates the
     timebase effect, and letting ``engine="auto"`` promote eligible
@@ -210,16 +200,7 @@ def _run_dynamic(case: PerfCase, timebase: str, horizon: int):
     began = perf_counter()
     sim.run(until_time=horizon)
     wall = perf_counter() - began
-    sim.channel.drain_all(sim.now)
-    fingerprint = (
-        sim.events_processed,
-        sim.now,
-        sim.total_backlog,
-        sim.trace.max_backlog,
-        tuple(p.delivered_time for p in sim.delivered_packets),
-        _stats_tuple(sim),
-    )
-    return fingerprint, sim.events_processed, wall, sim.timebase
+    return execution_signature(sim), sim.events_processed, wall, sim.timebase
 
 
 def _run_sst(case: PerfCase, timebase: str, elections: int):
@@ -284,16 +265,7 @@ def _run_fleet(case: PerfCase, engine: str, horizon: int):
     began = perf_counter()
     sim.run(until_time=horizon)
     wall = perf_counter() - began
-    sim.channel.drain_all(sim.now)
-    fingerprint = (
-        sim.events_processed,
-        sim.now,
-        sim.total_backlog,
-        sim.trace.max_backlog,
-        tuple(p.delivered_time for p in sim.delivered_packets),
-        _stats_tuple(sim),
-    )
-    return fingerprint, sim.events_processed, wall, sim.engine
+    return execution_signature(sim), sim.events_processed, wall, sim.engine
 
 
 def _run_fleet_case(case: PerfCase, engine: str, quick: bool, repeats: int):

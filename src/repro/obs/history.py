@@ -2,15 +2,17 @@
 
 The flight recorder's other half (see :mod:`repro.obs.tracing` for the
 in-flight spans): an SQLite database under ``.repro-cache/history.db``
-that records one row per completed execution — ``repro run``, every
-grid (:func:`repro.analysis.run_grid_report`), every seed sweep
-(:func:`repro.analysis.sweep_seeds_report`), and every benchmark table
-the harness emits.  Each row carries *what* ran (kind, name, spec
-hash), *how* it went (cell counts, cache hits, wall time, the
-:class:`~repro.exec.RunHealth` ledger, ok/failed status), *which code*
-ran it (git SHA), and *where the evidence lives* (artifact and trace
-paths).  The ``repro history list/show/query`` subcommands read it
-back; the schema is documented in ``docs/tracing.md``.
+that records one row per completed request.  Rows are written in one
+place, :func:`repro.service.execute` (kinds ``run``/``grid``/``sst``);
+the daemon adds kind-``serve`` rows only for what ``execute`` never
+sees (artifact-cache replays, runs that fail mid-stream), and the bench
+harness records kind-``bench`` rows for the tables it emits.  Each row
+carries *what* ran (kind, name, spec hash), *how* it went (cell counts,
+cache hits, wall time, the :class:`~repro.exec.RunHealth` ledger,
+ok/failed status), *which code* ran it (git SHA), and *where the
+evidence lives* (artifact and trace paths).  The ``repro history
+list/show/query`` subcommands read it back; the schema is documented in
+``docs/tracing.md``.
 
 Design constraints:
 
@@ -22,10 +24,8 @@ Design constraints:
   useful if it is complete) but honors ``REPRO_NO_HISTORY=1``; the
   database path follows the result cache it sits next to and can be
   pointed elsewhere with ``REPRO_HISTORY_DB``.
-* **Append-mostly.**  Rows are inserted at completion and touched
-  again only to attach artifact/trace paths the caller learns late
-  (:meth:`RunHistory.update`).  Nothing is ever deleted by the
-  recording path.
+* **Append-only.**  A row is inserted once, at completion, with every
+  fact it will ever carry; nothing is updated or deleted afterwards.
 
 SQLite keeps the index robust against concurrent writers (two grids
 sharing one cache directory) via its own locking; a 5-second busy
@@ -50,6 +50,7 @@ __all__ = [
     "default_db_path",
     "history_enabled",
     "record_completion",
+    "served_from",
 ]
 
 #: History schema version, stored in SQLite's ``user_version`` pragma.
@@ -102,6 +103,24 @@ def history_enabled() -> bool:
     return not os.environ.get("REPRO_NO_HISTORY", "").strip()
 
 
+def served_from(cells: int, cache_hits: int, journal_hits: int) -> str:
+    """How results were obtained: ``cache``/``journal``/``mixed``/``exec``.
+
+    ``cache`` means every cell came out of the content-addressed result
+    cache (nothing executed); ``mixed`` means some did.
+
+    >>> served_from(2, 2, 0), served_from(2, 1, 0), served_from(0, 0, 0)
+    ('cache', 'mixed', 'exec')
+    """
+    if cells and cache_hits >= cells:
+        return "cache"
+    if cells and journal_hits >= cells:
+        return "journal"
+    if cache_hits or journal_hits:
+        return "mixed"
+    return "exec"
+
+
 @dataclass(slots=True)
 class HistoryEntry:
     """One recorded execution, as read back from the index."""
@@ -128,18 +147,8 @@ class HistoryEntry:
 
     @property
     def served_from(self) -> str:
-        """How the results were obtained: ``cache``/``journal``/``exec``.
-
-        ``cache`` means every cell came out of the content-addressed
-        result cache (nothing executed); ``mixed`` means some did.
-        """
-        if self.cells and self.cache_hits >= self.cells:
-            return "cache"
-        if self.cells and self.journal_hits >= self.cells:
-            return "journal"
-        if self.cache_hits or self.journal_hits:
-            return "mixed"
-        return "exec"
+        """How the results were obtained (see :func:`served_from`)."""
+        return served_from(self.cells, self.cache_hits, self.journal_hits)
 
     def disturbed(self) -> bool:
         """True when the health ledger recorded any recovery activity."""
@@ -263,34 +272,6 @@ class RunHistory:
                 values,
             )
             return int(cursor.lastrowid)
-
-    def update(self, run_id: int, **fields: Any) -> bool:
-        """Attach late-learned facts (trace path, artifact path, status).
-
-        Only existing columns may be updated; returns True when a row
-        was touched.
-        """
-        allowed = set(_COLUMNS) - {"created_at", "kind"}
-        unknown = set(fields) - allowed
-        if unknown:
-            raise ValueError(f"unknown history column(s): {sorted(unknown)}")
-        if not fields:
-            return False
-        clean = {
-            key: (
-                json.dumps(value, sort_keys=True, default=str)
-                if key in ("health", "extra") and isinstance(value, dict)
-                else value
-            )
-            for key, value in fields.items()
-        }
-        assignments = ", ".join(f"{key} = ?" for key in clean)
-        with self._connect() as connection:
-            cursor = connection.execute(
-                f"UPDATE runs SET {assignments} WHERE id = ?",
-                (*clean.values(), run_id),
-            )
-            return cursor.rowcount > 0
 
     # -- reading --------------------------------------------------------
 

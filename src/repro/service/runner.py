@@ -7,7 +7,9 @@ the cache-adjacent ``--resume`` default), the grid cells.  :func:`execute`
 runs the plan on the :mod:`repro.exec` engine and returns a uniform
 :class:`RunResult` envelope whatever the command was: metrics,
 manifest, :class:`~repro.exec.RunHealth`, history id, artifact/trace
-paths, cache/journal provenance.
+paths, cache/journal provenance.  ``execute`` is also the one writer of
+run history: :func:`record_history` turns each finished result into
+exactly one row.
 
 Two things are deliberately *not* managed here:
 
@@ -32,8 +34,8 @@ import hashlib
 import json
 import pathlib
 import time
-from dataclasses import dataclass, field
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..analysis import abs_slot_upper_bound, collect_metrics, write_csv
 from ..analysis.experiments import ExperimentCell, GridReport, run_grid_report
@@ -53,6 +55,7 @@ from ..obs import (
     git_sha,
     record_completion,
 )
+from ..obs.history import served_from
 from ..scenarios import ALGORITHMS, ScenarioSpec
 from .request import RunRequest
 
@@ -61,10 +64,17 @@ __all__ = ["RunPlan", "RunResult", "execute", "plan"]
 PathLike = Union[str, pathlib.Path]
 
 
-def _spec_hash(spec: ScenarioSpec) -> Optional[str]:
-    """A stable short hash of a spec's canonical form (history key)."""
+def _spec_hash(specs: Sequence[ScenarioSpec]) -> Optional[str]:
+    """A stable short hash of the specs' canonical forms (history key).
+
+    A single spec hashes its own canonical form, so a run and a
+    one-cell grid of the same scenario share a hash.
+    """
     try:
-        canonical = json.dumps(spec.canonical(), sort_keys=True, default=str)
+        forms = [spec.canonical() for spec in specs]
+        canonical = json.dumps(
+            forms[0] if len(forms) == 1 else forms, sort_keys=True, default=str
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     except Exception:
         return None
@@ -100,6 +110,8 @@ class RunResult:
     engine: str = ""
     timebase: str = ""
     engine_detail: str = ""
+    #: The engine with its program family (``batch(adaptive)`` ...).
+    engine_described: str = ""
     metrics: Optional[RunMetrics] = None
     manifest: Optional[Dict[str, Any]] = None
     report: Optional[GridReport] = None
@@ -117,7 +129,6 @@ class RunResult:
     profile_lines: Tuple[str, ...] = ()
     #: SST payload: solved_at / winner / max_slots / bound.
     sst: Optional[Dict[str, Any]] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -127,13 +138,7 @@ class RunResult:
     def served_from(self) -> str:
         """Provenance: ``cache`` / ``journal`` / ``mixed`` / ``exec``."""
         cells = len(self.report.results) if self.report is not None else 1
-        if cells and self.cache_hits >= cells:
-            return "cache"
-        if cells and self.journal_hits >= cells:
-            return "journal"
-        if self.cache_hits or self.journal_hits:
-            return "mixed"
-        return "exec"
+        return served_from(cells, self.cache_hits, self.journal_hits)
 
     def envelope(self) -> Dict[str, Any]:
         """A JSON-safe summary (the daemon's trailing service record)."""
@@ -176,8 +181,6 @@ class RunResult:
         ):
             if value:
                 body[key] = value
-        if self.extra:
-            body.update(self.extra)
         return body
 
 
@@ -227,22 +230,86 @@ def execute(
     ``artifact_stream`` streams the run's JSONL artifact (manifest,
     event records, summary) to an open text stream *instead of* the
     ``options.emit_jsonl`` path — the daemon's incremental-streaming
-    hook.  ``history_db`` overrides where the completion is recorded
-    (the daemon records into its cache-adjacent index; local runs use
-    the default database).
+    hook.  The finished request is recorded as one run-history row
+    (see :func:`record_history`); ``history_db`` overrides where (the
+    daemon records into its cache-adjacent index).
     """
     resolved = plan(request)
     if request.command == "grid":
-        return _execute_grid(resolved, history_db)
-    if request.command == "sst":
-        return _execute_sst(resolved, history_db)
-    return _execute_run(resolved, artifact_stream, history_db)
+        result = _execute_grid(resolved)
+    elif request.command == "sst":
+        result = _execute_sst(resolved)
+    else:
+        result = _execute_run(resolved, artifact_stream)
+    result.history_id = record_history(request, result, history_db)
+    return result
+
+
+def record_history(
+    request: RunRequest,
+    result: RunResult,
+    history_db: Optional[PathLike] = None,
+    *,
+    kind: Optional[str] = None,
+) -> Optional[int]:
+    """Write the one run-history row of a finished request.
+
+    ``kind`` defaults to the command (``run``/``grid``/``sst``); the
+    daemon passes ``"serve"`` for what :func:`execute` never sees —
+    artifact-cache replays and run submissions that failed mid-stream.
+    The row lands in ``history_db``, else next to a cached grid's
+    cache, else in the default database.  Best-effort: returns the row
+    id, or ``None`` (see :func:`repro.obs.record_completion`).
+    """
+    options = request.options
+    if history_db is None and request.command == "grid" and options.cache:
+        history_db = pathlib.Path(options.cache_dir) / "history.db"
+    report = result.report
+    counts: Dict[str, Any] = {"jobs": 1, "mode": "serial"}
+    if kind == "serve":
+        counts.update(cells=1, cache_hits=result.cache_hits, mode="daemon")
+        extra: Dict[str, Any] = {
+            "command": request.command,
+            "engine": result.engine,
+            "timebase": result.timebase,
+        }
+    elif report is not None:
+        counts.update(
+            cells=len(request.specs),
+            cache_hits=result.cache_hits,
+            cache_misses=result.cache_misses,
+            journal_hits=result.journal_hits,
+            jobs=report.jobs,
+            mode=report.mode,
+            health=report.health.as_dict(),
+        )
+        extra = {"engines": sorted(
+            {r.engine_described or r.engine for r in report.results if r.engine}
+        )}
+    else:
+        extra = {"engine": result.engine_described, "timebase": result.timebase}
+        if result.metrics is not None:
+            extra.update(delivered=result.metrics.delivered,
+                         backlog=result.metrics.backlog)
+        if result.sst is not None:
+            extra.update(solved=result.ok, max_slots=result.sst["max_slots"])
+    return record_completion(
+        kind or request.command,
+        result.name,
+        db_path=history_db,
+        status=result.status,
+        wall_s=result.wall_s,
+        spec_hash=_spec_hash(request.specs),
+        git_sha=git_sha(),
+        artifact_path=result.artifact_path or result.csv_path,
+        trace_path=result.trace_path,
+        extra=extra,
+        **counts,
+    )
 
 
 def _execute_run(
-    plan_: RunPlan,
-    artifact_stream: Optional[IO[str]],
-    history_db: Optional[PathLike],
+    plan_: RunPlan, artifact_stream: Optional[IO[str]]
 ) -> RunResult:
     """One spec, one simulator — the body behind ``repro run``."""
     request = plan_.request
@@ -317,22 +384,6 @@ def _execute_run(
     wall_s = time.perf_counter() - started
     if writer is not None:
         writer.close(sim=sim)
-    metrics = collect_metrics(sim)
-    history_id = record_completion(
-        "run",
-        spec.name,
-        db_path=history_db,
-        wall_s=wall_s,
-        jobs=1,
-        mode="serial",
-        spec_hash=_spec_hash(spec),
-        git_sha=git_sha(),
-        artifact_path=options.emit_jsonl or None,
-        trace_path=options.trace,
-        extra={"delivered": metrics.delivered, "backlog": metrics.backlog,
-               "engine": sim.engine_described,
-               "timebase": sim.timebase.describe()},
-    )
     return RunResult(
         command="run",
         name=spec.name,
@@ -341,9 +392,9 @@ def _execute_run(
         engine=sim.engine,
         timebase=sim.timebase.describe(),
         engine_detail=sim.engine_detail or "",
-        metrics=metrics,
+        engine_described=sim.engine_described,
+        metrics=collect_metrics(sim),
         manifest=manifest.to_record() if manifest is not None else None,
-        history_id=history_id,
         artifact_path=writer.path if writer is not None else None,
         trace_path=options.trace,
         metrics_lines=(
@@ -359,9 +410,7 @@ def _execute_run(
     )
 
 
-def _execute_grid(
-    plan_: RunPlan, history_db: Optional[PathLike]
-) -> RunResult:
+def _execute_grid(plan_: RunPlan) -> RunResult:
     """A cell grid on the exec pool — the body behind ``repro grid``."""
     request = plan_.request
     options = request.options
@@ -378,17 +427,12 @@ def _execute_grid(
         retries=options.retries,
         journal=plan_.journal,
         resume=options.resume,
-        history=history_db,
         engine=options.engine,
     )
     csv_path = None
     if options.csv:
         write_csv(report.results, options.csv)
         csv_path = options.csv
-    _attach_grid_history(
-        report, plan_.cache, history_db,
-        trace=options.trace, csv=csv_path,
-    )
     return RunResult(
         command="grid",
         name=request.specs[0].name if len(request.specs) == 1 else (
@@ -398,7 +442,6 @@ def _execute_grid(
         wall_s=report.wall_s,
         report=report,
         health=report.health,
-        history_id=report.history_id,
         trace_path=options.trace,
         csv_path=csv_path,
         journal_path=plan_.journal,
@@ -408,83 +451,46 @@ def _execute_grid(
     )
 
 
-def _attach_grid_history(
-    report: GridReport,
-    cache: Optional[ResultCache],
-    history_db: Optional[PathLike],
-    *,
-    trace: Optional[str],
-    csv: Optional[str],
-) -> None:
-    """Attach late-learned paths to the grid's history row (best-effort)."""
-    history_id = getattr(report, "history_id", None)
-    if history_id is None or not (trace or csv):
-        return
-    from ..obs import RunHistory
-
-    if history_db is not None:
-        db: Optional[PathLike] = history_db
-    elif cache is not None:
-        db = pathlib.Path(cache.root) / "history.db"
-    else:
-        db = None
-    updates: Dict[str, Any] = {}
-    if trace:
-        updates["trace_path"] = trace
-    if csv:
-        updates["artifact_path"] = csv
-    try:
-        RunHistory(db).update(history_id, **updates)
-    except Exception:
-        pass  # history is forensics, never a reason to fail the grid
-
-
-def _execute_sst(
-    plan_: RunPlan, history_db: Optional[PathLike]
-) -> RunResult:
+def _execute_sst(plan_: RunPlan) -> RunResult:
     """Leader election / SST — the body behind ``repro sst``."""
     request = plan_.request
     options = request.options
     spec = request.spec
-    sim = spec.build()
+    sim = spec.build(timebase=options.timebase, engine=options.engine)
     fleet = {i: sim.algorithm(i) for i in sim.station_ids}
     started = time.perf_counter()
     solved_at = sim.run_until_success(max_events=options.max_events)
     if solved_at is not None:
-        sim.run(
-            max_events=sim.events_processed + 100_000,
-            stop_when=lambda s: all(a.is_done for a in fleet.values()),
-        )
+        # Run on until every station knows the outcome.  A forced batch
+        # kernel refuses per-event ``stop_when`` checks, so it steps one
+        # event at a time instead (same stopping event either way).
+        def done(_sim: Any) -> bool:
+            return all(a.is_done for a in fleet.values())
+
+        limit = sim.events_processed + 100_000
+        if options.engine == "batch":
+            while sim.events_processed < limit:
+                sim.run(max_events=sim.events_processed + 1)
+                if done(sim):
+                    break
+        else:
+            sim.run(max_events=limit, stop_when=done)
     wall_s = time.perf_counter() - started
     winners = [
         i for i, a in fleet.items() if getattr(a, "outcome", None) == "won"
     ]
-    solved = solved_at is not None
-    max_slots = sim.max_slots_elapsed()
-    history_id = record_completion(
-        "sst",
-        spec.name,
-        db_path=history_db,
-        status="ok" if solved else "failed",
-        wall_s=wall_s,
-        jobs=1,
-        mode="serial",
-        spec_hash=_spec_hash(spec),
-        git_sha=git_sha(),
-        extra={"solved": solved, "max_slots": max_slots},
-    )
     return RunResult(
         command="sst",
         name=spec.name,
-        status="ok" if solved else "failed",
+        status="ok" if solved_at is not None else "failed",
         wall_s=wall_s,
         engine=sim.engine,
         timebase=sim.timebase.describe(),
-        history_id=history_id,
+        engine_described=sim.engine_described,
         sst={
             "solved_at": solved_at,
             "winner": winners[0] if winners else None,
-            "max_slots": max_slots,
+            "max_slots": sim.max_slots_elapsed(),
             "bound": abs_slot_upper_bound(spec.n, spec.max_slot),
         },
     )

@@ -22,10 +22,14 @@ Endpoints:
 Cache semantics: a repeated ``run`` submission is served straight from
 the daemon's content-addressed :class:`~repro.exec.ResultCache`
 (``X-Repro-Served-From: cache``, no simulation); grids reuse the
-per-cell cache the CLI shares.  Every submission is recorded in the
-daemon's run-history index (kind ``serve``) next to its cache, so
-``repro history query --served cache`` audits what the daemon
-answered without executing.
+per-cell cache the CLI shares.  Every submission adds one row to the
+daemon's run-history index next to its cache: executed requests are
+recorded by :func:`~repro.service.execute` under their own kind
+(``run``/``grid``/``sst``), and the daemon records kind ``serve`` only
+for what ``execute`` never sees — artifact-cache replays and run
+submissions that fail mid-stream — so ``repro history query --kind
+serve --served cache`` audits what the daemon answered without
+executing.
 
 Client-supplied *paths* never touch the server's filesystem: incoming
 options are sanitized — artifact/trace/csv/journal paths dropped, the
@@ -46,9 +50,9 @@ from typing import Any, Dict, IO, Optional
 
 from ..core.errors import ConfigurationError
 from ..exec import MISS, JournalMismatch, ResultCache
-from ..obs import git_sha, record_completion
+from ..obs import git_sha
 from .request import SERVICE_SCHEMA_VERSION, RunRequest
-from .runner import execute
+from .runner import RunResult, execute, record_history
 
 __all__ = ["ServiceServer", "create_server", "serve_forever"]
 
@@ -169,33 +173,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         return _ChunkedWriter(self.wfile)
 
-    def _record_serve(
-        self,
-        name: str,
-        *,
-        status: str,
-        cells: int,
-        cache_hits: int,
-        journal_hits: int = 0,
-        wall_s: Optional[float] = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> Optional[int]:
-        """One history row per submission (kind ``serve``), best-effort."""
-        return record_completion(
-            "serve",
-            name,
-            db_path=self.server.history_db,
-            status=status,
-            cells=cells,
-            cache_hits=cache_hits,
-            journal_hits=journal_hits,
-            wall_s=wall_s,
-            jobs=1,
-            mode="daemon",
-            git_sha=git_sha(),
-            extra=extra,
-        )
-
     # -- endpoints ------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
@@ -241,6 +218,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- run: incremental artifact stream with artifact-level cache -----
 
     def _serve_run(self, request: RunRequest) -> None:
+        started = time.perf_counter()
         cache = self.server.artifact_cache
         key: Optional[str] = None
         try:
@@ -255,12 +233,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
             envelope["served_from"] = "cache"
             chunks = self._begin_stream("cache")
             chunks.write(stored["artifact"])
-            envelope["history_id"] = self._record_serve(
-                envelope.get("name", request.spec.name),
+            replay = RunResult(
+                command="run",
+                name=envelope.get("name", request.spec.name),
                 status=envelope.get("status", "ok"),
-                cells=1,
+                wall_s=time.perf_counter() - started,
+                engine=envelope.get("engine", request.options.engine),
+                timebase=envelope.get("timebase", request.options.timebase),
                 cache_hits=1,
-                extra=_serve_extra(request, envelope),
+            )
+            envelope["history_id"] = record_history(
+                request, replay, self.server.history_db, kind="serve"
             )
             chunks.write(json.dumps({"type": "service", **envelope}) + "\n")
             chunks.finish()
@@ -268,7 +251,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         chunks = self._begin_stream("exec")
         buffer = io.StringIO()
         tee = _TeeStream(chunks, buffer)
-        started = time.perf_counter()
         try:
             with self.server.execute_lock:
                 result = execute(
@@ -277,32 +259,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     history_db=self.server.history_db,
                 )
         except Exception as exc:  # stream already open: report in-band
+            failed = RunResult(
+                command="run",
+                name=request.spec.name,
+                status="failed",
+                wall_s=time.perf_counter() - started,
+                engine=request.options.engine,
+                timebase=request.options.timebase,
+            )
+            record_history(
+                request, failed, self.server.history_db, kind="serve"
+            )
             chunks.write(
                 json.dumps({"type": "error", "error": str(exc)}) + "\n"
             )
             chunks.finish()
-            self._record_serve(
-                request.spec.name,
-                status="failed",
-                cells=1,
-                cache_hits=0,
-                wall_s=time.perf_counter() - started,
-                extra=_serve_extra(request, {"error": str(exc)}),
-            )
             return
         envelope = result.envelope()
         if key is not None:
             cache.put(
                 key, {"artifact": buffer.getvalue(), "envelope": envelope}
             )
-        envelope["history_id"] = self._record_serve(
-            result.name,
-            status=result.status,
-            cells=1,
-            cache_hits=0,
-            wall_s=result.wall_s,
-            extra=_serve_extra(request, envelope),
-        )
         chunks.write(json.dumps({"type": "service", **envelope}) + "\n")
         chunks.finish()
 
@@ -327,34 +304,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     record["engine"] = row.engine
                     record["timebase"] = row.timebase
                 chunks.write(json.dumps(record) + "\n")
-        envelope["history_id"] = self._record_serve(
-            result.name,
-            status=result.status,
-            cells=(
-                len(result.report.results) if result.report is not None else 1
-            ),
-            cache_hits=result.cache_hits,
-            journal_hits=result.journal_hits,
-            wall_s=result.wall_s,
-            extra=_serve_extra(request, envelope),
-        )
         chunks.write(json.dumps({"type": "service", **envelope}) + "\n")
         chunks.finish()
-
-
-def _serve_extra(
-    request: RunRequest, envelope: Dict[str, Any]
-) -> Dict[str, Any]:
-    """The ``extra`` payload of a serve history row (query filters)."""
-    extra: Dict[str, Any] = {"command": request.command}
-    for field in ("engine", "timebase", "engines"):
-        if envelope.get(field):
-            extra[field] = envelope[field]
-    # Fall back to the *requested* engine/timebase (cache hits replay a
-    # stored envelope that already carries the resolved values).
-    extra.setdefault("engine", request.options.engine)
-    extra.setdefault("timebase", request.options.timebase)
-    return extra
 
 
 def create_server(

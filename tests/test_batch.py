@@ -28,7 +28,7 @@ np = pytest.importorskip("numpy")
 from repro.algorithms import CAArrow, RRW, SlottedAloha
 from repro.analysis import run_cell
 from repro.arrivals import ArrivalSource, UniformRate
-from repro.core import Simulator
+from repro.core import Simulator, execution_signature
 from repro.core.batch import BATCH_ALGORITHMS, BATCH_SCHEDULES, batch_blocker
 from repro.core.errors import ConfigurationError
 from repro.core.trace import Trace
@@ -87,28 +87,17 @@ def spec_for(algorithm, schedule="sync", **overrides):
 def fingerprint(sim, drain=True):
     """Every observable of a run — plus internal scheduling state.
 
-    Stricter than the golden-parity fingerprint: the pending event
-    heap, per-station runtime fields, and the retained channel record
-    list must match too, so a batch run can be *continued* by the
-    object loop (or vice versa) without any divergence later.
+    Stricter than :func:`~repro.core.execution_signature` alone: the
+    pending event heap, per-station runtime fields, and the retained
+    channel record list must match too, so a batch run can be
+    *continued* by the object loop (or vice versa) without any
+    divergence later.
     """
-    if drain:
-        sim.channel.drain_all(sim.now)
-    return (
-        sim.events_processed,
-        sim.now,
-        sim.total_backlog,
-        sim.trace.max_backlog,
-        tuple(
-            (p.packet_id, p.station_id, p.arrival_time, p.delivered_time,
-             p.cost)
-            for p in sim.delivered_packets
-        ),
-        dataclasses.astuple(sim.channel.stats),
+    return execution_signature(sim, drain=drain) + (
         tuple(sorted(sim._event_heap)),
         tuple(
             (rt.station_id, rt.slot_index, rt.slot_start, rt.slot_end,
-             rt.slots_elapsed, len(rt.queue))
+             rt.slots_elapsed)
             for rt in (sim.stations[sid] for sid in sim.station_ids)
         ),
         tuple(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis import ExperimentCell, run_grid_report
 from repro.cli import main
+from repro.core import execution_signature
 from repro.core.errors import ConfigurationError
 from repro.scenarios import ScenarioSpec, load_spec
 
@@ -76,29 +77,6 @@ class TestCliGolden:
         assert capsys.readouterr().out == _golden("cli_ca_arrow_worst.txt")
 
 
-def _fingerprint(sim):
-    """Every public observable of one finished run, as one comparable value.
-
-    ``drain_all`` first: in-flight transmissions finalize at different
-    internal instants on the two timebases, and parity is only promised
-    at the observation boundary.
-    """
-    sim.channel.drain_all(sim.now)
-    stats = sim.channel.stats
-    return (
-        sim.events_processed,
-        sim.now,
-        sim.total_backlog,
-        sim.trace.max_backlog,
-        tuple(
-            (p.packet_id, p.station_id, p.arrival_time, p.delivered_time, p.cost)
-            for p in sim.delivered_packets
-        ),
-        (stats.transmissions, stats.successes, stats.collisions,
-         stats.control_transmissions, stats.busy_time, stats.success_time),
-    )
-
-
 class TestTimebaseParity:
     """S4: the tick-lattice fast path is observably invisible."""
 
@@ -112,7 +90,7 @@ class TestTimebaseParity:
             sim = spec.build(timebase=requested)
             assert sim.timebase.is_lattice is (requested == "lattice")
             sim.run(until_time=spec.horizon)
-            runs[requested] = _fingerprint(sim)
+            runs[requested] = execution_signature(sim)
         assert runs["fraction"] == runs["lattice"]
         # Exactness, not floats: delivery times stay Fractions (or ints
         # equal to them) after the boundary conversion.
@@ -125,7 +103,9 @@ class TestTimebaseParity:
         for requested in ("fraction", "lattice"):
             sim = spec.build(timebase=requested)
             end = sim.run_until_success(max_events=1_000_000)
-            outcomes[requested] = (end, sim.max_slots_elapsed(), _fingerprint(sim))
+            outcomes[requested] = (
+                end, sim.max_slots_elapsed(), execution_signature(sim)
+            )
         assert outcomes["fraction"] == outcomes["lattice"]
         assert outcomes["lattice"][0] is not None
 
@@ -179,7 +159,7 @@ class TestEngineParity:
             sim = spec.build(engine=requested)
             assert sim.engine == requested
             sim.run(until_time=spec.horizon)
-            runs[requested] = _fingerprint(sim)
+            runs[requested] = execution_signature(sim)
         assert runs["object"] == runs["batch"]
         for entry in runs["batch"][4]:
             assert isinstance(entry[3], (int, Fraction))

@@ -1,9 +1,11 @@
 """Tests for the persistent run-history index (:mod:`repro.obs.history`).
 
-The contract: every completed grid/sweep/bench/run records one row —
-automatically, silently, and without ever being able to fail the run
-that produced it — and the rows read back with enough fidelity to
-answer "what ran, how was it served, and where is the evidence".
+The contract: every request through :func:`repro.service.execute` and
+every emitted bench table records one row — automatically, silently,
+and without ever being able to fail the run that produced it — and the
+rows read back with enough fidelity to answer "what ran, how was it
+served, and where is the evidence".  The engine layer
+(``run_grid_report``, ``sweep_seeds_report``) records nothing.
 """
 
 import os
@@ -21,6 +23,8 @@ from repro.obs.history import (
     render_entries,
     render_entry,
 )
+from repro.scenarios import ScenarioSpec
+from repro.service import RunOptions, RunRequest, execute
 from repro.timing import worst_case_for
 
 
@@ -35,6 +39,19 @@ def cell(name="demo", rho="1/2", horizon=400):
         ),
         max_slot_length=2,
         horizon=horizon,
+    )
+
+
+def grid_request(*names, **options):
+    specs = tuple(
+        ScenarioSpec(
+            name=name, algorithm="ca-arrow", n=3, max_slot=2,
+            schedule="worst", rho=rho, horizon=400,
+        )
+        for name, rho in zip(names, ("1/2", "7/10"))
+    )
+    return RunRequest(
+        specs=specs, command="grid", options=RunOptions(**options)
     )
 
 
@@ -92,16 +109,6 @@ class TestRunHistory:
         with pytest.raises(ValueError):
             history.query(limit=0)
 
-    def test_update_attaches_late_facts(self, tmp_path):
-        history = RunHistory(tmp_path / "h.db")
-        run_id = history.record("grid", "g")
-        assert history.update(run_id, trace_path="t.json", status="failed")
-        entry = history.get(run_id)
-        assert (entry.trace_path, entry.status) == ("t.json", "failed")
-        with pytest.raises(ValueError):
-            history.update(run_id, kind="nope")
-        assert not history.update(run_id + 999, status="ok")
-
     def test_missing_db_reads_as_empty(self, tmp_path):
         history = RunHistory(tmp_path / "never-created.db")
         assert history.get(1) is None
@@ -130,10 +137,11 @@ class TestRunHistory:
 
 class TestAutoRecording:
     def test_grid_records_next_to_its_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cells = [cell(name="a"), cell(name="b", rho="7/10")]
-        first = run_grid_report(cells, cache=cache)
-        second = run_grid_report(cells, cache=cache)
+        request = grid_request(
+            "a", "b", cache=True, cache_dir=str(tmp_path / "cache")
+        )
+        first = execute(request)
+        second = execute(request)
         history = RunHistory(tmp_path / "cache" / "history.db")
         entries = history.list()
         assert [e.served_from for e in entries] == ["cache", "exec"]
@@ -141,44 +149,49 @@ class TestAutoRecording:
         assert entries[0].id == second.history_id
         assert entries[1].id == first.history_id
         assert entries[1].spec_hash == entries[0].spec_hash
+        assert RunHistory().count() == 0  # nothing in the default db
 
     def test_uncached_grid_records_to_default_db(self, tmp_path):
         # conftest points REPRO_HISTORY_DB at tmp_path/history.db.
-        report = run_grid_report([cell()])
-        entry = RunHistory().get(report.history_id)
+        result = execute(grid_request("demo"))
+        entry = RunHistory().get(result.history_id)
         assert entry is not None and entry.kind == "grid"
         assert entry.name == "demo"
         assert os.environ["REPRO_HISTORY_DB"] == str(RunHistory().path)
 
-    def test_history_false_disables(self, tmp_path):
-        report = run_grid_report([cell()], history=False)
-        assert report.history_id is None
+    def test_history_false_disables(self, tmp_path, monkeypatch):
+        """A grid runs with no row: the engine layer never records, and
+        ``REPRO_NO_HISTORY`` turns off the row a request would write."""
+        report = run_grid_report(
+            [cell()], cache=ResultCache(tmp_path / "cache")
+        )
+        assert not hasattr(report, "history_id")
+        assert not (tmp_path / "cache" / "history.db").exists()
+        monkeypatch.setenv("REPRO_NO_HISTORY", "1")
+        result = execute(
+            grid_request("demo", cache=True, cache_dir=str(tmp_path / "cache"))
+        )
+        assert result.history_id is None
+        assert not (tmp_path / "cache" / "history.db").exists()
         assert RunHistory().count() == 0
 
-    def test_failed_grid_records_failed_status(self, tmp_path):
-        def explode():
+    def test_sweep_report_records_nothing(self):
+        """Only service requests are recorded; a seed sweep never is."""
+        report = sweep_seeds_report(lambda seed: seed * 2, range(5))
+        assert not hasattr(report, "history_id")
+        assert RunHistory().count() == 0
+
+    def test_failed_grid_records_failed_status(self, tmp_path, monkeypatch):
+        from repro.analysis import experiments
+
+        def explode(*args, **kwargs):
             raise ValueError("boom")
 
-        bad = ExperimentCell(
-            name="boom",
-            algorithms=explode,
-            slot_adversary=lambda: worst_case_for(2),
-            arrival_source=lambda: UniformRate(
-                rho="1/2", targets=[1, 2, 3], assumed_cost=2
-            ),
-            max_slot_length=2,
-            horizon=400,
-        )
-        report = run_grid_report([bad])
-        assert report.failures
-        entry = RunHistory().get(report.history_id)
-        assert entry.status == "failed"
-
-    def test_sweep_records(self, tmp_path):
-        report = sweep_seeds_report(lambda seed: seed * 2, range(5))
-        entry = RunHistory().get(report.history_id)
-        assert entry.kind == "sweep"
-        assert entry.cells == 5
+        monkeypatch.setattr(experiments, "_execute_cell", explode)
+        result = execute(grid_request("boom"))
+        assert result.report.failures
+        entry = RunHistory().get(result.history_id)
+        assert (entry.status, entry.cells) == ("failed", 1)
 
     def test_bench_emit_records(self, tmp_path, monkeypatch):
         import importlib

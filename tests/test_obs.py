@@ -20,7 +20,7 @@ import pytest
 from repro.algorithms import AOArrow, NaiveTDMA, SlottedAloha
 from repro.analysis import collect_metrics
 from repro.arrivals import UniformRate
-from repro.core import Simulator, Trace
+from repro.core import Simulator, Trace, execution_signature
 from repro.obs import (
     Counter,
     Gauge,
@@ -54,27 +54,13 @@ def _build(n=3, R=2, rho="1/2", **kwargs):
     )
 
 
-def _fingerprint(sim):
-    """Everything observable about a finished run, for exact comparison."""
-    return (
-        sim.now,
-        sim.events_processed,
-        sim.total_backlog,
-        [(p.packet_id, p.station_id, p.delivered_time, p.cost)
-         for p in sim.delivered_packets],
-        sim.channel.stats.collisions,
-        sim.channel.stats.transmissions,
-        {sid: sim.queue_size(sid) for sid in sim.station_ids},
-    )
-
-
 class TestTransparency:
     def test_unsubscribed_bus_is_bit_identical_to_seed(self):
         bare = _build()
         bare.run(until_time=600)
         probed = _build(probes=ProbeBus())
         probed.run(until_time=600)
-        assert _fingerprint(bare) == _fingerprint(probed)
+        assert execution_signature(bare) == execution_signature(probed)
 
     def test_fully_subscribed_bus_is_bit_identical_to_seed(self):
         bare = _build()
@@ -84,14 +70,14 @@ class TestTransparency:
             bus.subscribe(event, lambda payload: None)
         probed = _build(probes=bus)
         probed.run(until_time=600)
-        assert _fingerprint(bare) == _fingerprint(probed)
+        assert execution_signature(bare) == execution_signature(probed)
 
     def test_profiler_does_not_change_execution(self):
         bare = _build()
         bare.run(until_time=400)
         profiled = _build(profiler=PhaseProfiler())
         profiled.run(until_time=400)
-        assert _fingerprint(bare) == _fingerprint(profiled)
+        assert execution_signature(bare) == execution_signature(profiled)
 
 
 class TestProbeCompleteness:
@@ -355,4 +341,4 @@ class TestRandomizedAlgorithmsStayDeterministic:
         bare.run(until_time=300)
         probed = build(ProbeBus())
         probed.run(until_time=300)
-        assert _fingerprint(bare) == _fingerprint(probed)
+        assert execution_signature(bare) == execution_signature(probed)

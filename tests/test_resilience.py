@@ -379,7 +379,7 @@ class TestKeyboardInterrupt:
             sys.executable, "-m", "repro", "grid",
             "--algorithms", "ca-arrow,ao-arrow",
             "--rhos", "3/10,1/2,7/10",
-            "--n", "4", "--horizon", "60000",
+            "--n", "4", "--horizon", "6000",
             "--jobs", str(CHAOS_JOBS),
             "--no-cache",
             "--journal", str(journal),
@@ -414,18 +414,11 @@ class TestKeyboardInterrupt:
         state = GridJournal(journal).load()
         assert state is not None and state.results  # completed cells kept
 
-        # The follow-up --resume completes, reusing the journal.
+        # The follow-up --resume (same grid, same --jobs) completes,
+        # reusing the journal.
         from repro.cli import main
 
-        code = main([
-            "grid",
-            "--algorithms", "ca-arrow,ao-arrow",
-            "--rhos", "3/10,1/2,7/10",
-            "--n", "4", "--horizon", "60000",
-            "--no-cache",
-            "--journal", str(journal),
-            "--resume",
-        ])
+        code = main(args[3:] + ["--resume"])
         assert code == 0
         final = GridJournal(journal).load()
         assert len(final.results) == 6

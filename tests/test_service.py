@@ -9,7 +9,7 @@ Three layers of contract:
   output; here we pin the data).
 * **Server** — a live daemon streams artifacts record-identical to a
   local ``--emit-jsonl`` run, answers repeats from its cache, and
-  records every submission in run-history.
+  leaves exactly one run-history row per submission.
 """
 
 import io
@@ -41,6 +41,17 @@ def _spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _sst_spec():
+    return ScenarioSpec(
+        algorithm="abs", n=4, max_slot=2, schedule="worst", seed=0, rho=None,
+    )
+
+
+def _kinds(db=None):
+    """Every recorded row's kind, oldest first."""
+    return [e.kind for e in reversed(RunHistory(db).list(limit=100))]
 
 
 class TestRunRequest:
@@ -140,14 +151,29 @@ class TestExecuteParity:
         assert second.served_from == "cache"
 
     def test_sst_solves_and_reports_bound(self):
-        spec = ScenarioSpec(
-            algorithm="abs", n=4, max_slot=2, schedule="worst",
-            seed=0, rho=None,
-        )
-        result = execute(RunRequest(specs=(spec,), command="sst"))
+        result = execute(RunRequest(specs=(_sst_spec(),), command="sst"))
         assert result.ok
         assert result.sst["solved_at"] is not None
         assert result.sst["max_slots"] <= result.sst["bound"]
+
+    def test_sst_honors_forced_engine_and_timebase(self):
+        """Each forced path is reported back and elects identically."""
+        pytest.importorskip("numpy")
+        outcomes = set()
+        for engine, timebase in (
+            ("object", "fraction"), ("object", "lattice"),
+            ("batch", "lattice"),
+        ):
+            options = RunOptions(engine=engine, timebase=timebase)
+            result = execute(RunRequest(
+                specs=(_sst_spec(),), command="sst", options=options
+            ))
+            assert result.engine == engine
+            assert result.timebase.split("(")[0] == timebase
+            outcomes.add(tuple(
+                result.sst[key] for key in ("solved_at", "winner", "max_slots")
+            ))
+        assert len(outcomes) == 1
 
     def test_artifact_stream_receives_records(self):
         stream = io.StringIO()
@@ -164,6 +190,42 @@ class TestExecuteParity:
         options = RunOptions(emit_jsonl=str(tmp_path / "no" / "dir" / "o.jsonl"))
         with pytest.raises(ConfigurationError, match="cannot write"):
             execute(RunRequest(specs=(_spec(),), options=options))
+
+
+class TestHistoryRows:
+    """``execute`` writes exactly one row per request, complete at insert."""
+
+    def test_run_adds_one_run_row(self):
+        result = execute(RunRequest(specs=(_spec(),)))
+        assert _kinds() == ["run"]
+        entry = RunHistory().get(result.history_id)
+        assert set(entry.extra) == {"delivered", "backlog", "engine",
+                                    "timebase"}
+        assert entry.extra["delivered"] == result.metrics.delivered
+
+    def test_grid_row_carries_trace_and_csv_at_insert(self, tmp_path):
+        csv = str(tmp_path / "grid.csv")
+        options = RunOptions(trace="grid-trace.json", csv=csv)
+        result = execute(RunRequest(
+            specs=(_spec(rho="3/10"), _spec(rho="7/10")), command="grid",
+            options=options,
+        ))
+        assert _kinds() == ["grid"]
+        entry = RunHistory().get(result.history_id)
+        assert (entry.trace_path, entry.artifact_path) == (
+            "grid-trace.json", csv,
+        )
+        assert (entry.cells, entry.served_from) == (2, "exec")
+        assert set(entry.extra) == {"engines"}
+
+    def test_sst_adds_one_sst_row_with_engine(self):
+        result = execute(RunRequest(specs=(_sst_spec(),), command="sst"))
+        assert _kinds() == ["sst"]
+        entry = RunHistory().get(result.history_id)
+        assert entry.extra["engine"] == result.engine_described
+        assert entry.extra["timebase"] == result.timebase
+        assert entry.extra["solved"] is True
+        assert entry.extra["max_slots"] == result.sst["max_slots"]
 
 
 @pytest.fixture()
@@ -223,13 +285,16 @@ class TestServer:
             json.loads(line).get("type") == "summary"
             for line in out.getvalue().splitlines() if line
         )
+        # One row per submission: the executed run, then its replay.
+        assert _kinds(server.history_db) == ["run", "serve"]
         history = RunHistory(server.history_db)
-        serves = history.query(kind="serve")
-        assert len(serves) == 2
-        assert history.query(kind="serve", served="cache")[0].cache_hits == 1
+        [replay] = history.query(kind="serve", served="cache")
+        assert replay.cache_hits == 1
+        assert first["history_id"] == history.query(kind="run")[0].id
+        assert second["history_id"] == replay.id
 
     def test_grid_submission_streams_result_rows(self, daemon):
-        _, url = daemon
+        server, url = daemon
         request = RunRequest(
             specs=(_spec(rho="3/10"), _spec(rho="7/10")), command="grid"
         )
@@ -241,6 +306,22 @@ class TestServer:
                 if line]
         assert [r["type"] for r in rows] == ["result", "result"]
         assert all(r["stable"] in (True, False) for r in rows)
+        assert _kinds(server.history_db) == ["grid"]
+
+    def test_run_failing_mid_stream_records_one_serve_row(
+        self, daemon, monkeypatch
+    ):
+        server, url = daemon
+        from repro.service import server as server_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server_module, "execute", explode)
+        with pytest.raises(ServiceError, match="boom"):
+            submit_request(url, RunRequest(specs=(_spec(),)), timeout=30)
+        [entry] = RunHistory(server.history_db).list()
+        assert (entry.kind, entry.status) == ("serve", "failed")
 
     def test_invalid_request_is_400_naming_field(self, daemon):
         _, url = daemon

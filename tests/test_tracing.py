@@ -216,7 +216,6 @@ class TestGridTracing:
         report = run_grid_report(
             [cell(name="a"), cell(name="b", rho="7/10")],
             jobs=2,
-            history=False,
         )
         assert not report.failures
         spans = tracer.spans()
@@ -280,7 +279,6 @@ class TestGridTracing:
             jobs=2,
             task_timeout=2.0,
             retries=1,
-            history=False,
         )
         assert not report.failures
         deactivate()
@@ -304,9 +302,9 @@ class TestGridTracing:
 
     def test_traced_results_identical_to_untraced(self, tracer):
         cells = [cell(name="a"), cell(name="b", rho="7/10")]
-        traced = run_grid_report(cells, history=False)
+        traced = run_grid_report(cells)
         deactivate()
-        untraced = run_grid_report(cells, history=False)
+        untraced = run_grid_report(cells)
         assert [r.metrics.delivered for r in traced.results] == [
             r.metrics.delivered for r in untraced.results
         ]
