@@ -867,7 +867,8 @@ def _obs_flags(parser: argparse.ArgumentParser) -> None:
                         default="auto",
                         help="run loop (observably identical; 'auto' uses "
                         "the vectorized batch kernel when every component "
-                        "is batch-eligible, else the per-object loop)")
+                        "is batch-eligible and about 20 or more slots end "
+                        "per tick, else the per-object loop)")
     parser.add_argument("--verbose-engine", action="store_true",
                         help="print the resolved engine/timebase, plus the "
                         "promotion path (which vector programs matched) "
@@ -943,7 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="run loop per cell (observably identical; "
                         "'auto' picks the vectorized batch kernel when "
-                        "the cell is batch-eligible)")
+                        "the cell is batch-eligible and about 20 or more "
+                        "slots end per tick)")
     grid_p.add_argument("--trace", metavar="PATH", default=None,
                         help="record a flight-recorder trace of the grid "
                         "(pool dispatch, attempts, cache, per-cell sim "

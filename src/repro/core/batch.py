@@ -40,6 +40,12 @@ algorithm class both have registered vector programs below, and its
 arrival source (if any) exposes the exact ``next_arrival_hint``
 protocol.  Anything else demotes to the object path with a named
 reason, mirroring how ``timebase="auto"`` demotes off-lattice runs.
+Eligible is not the same as faster: each tick pays a fixed NumPy cost,
+so ``engine="auto"`` promotes an eligible run only when
+:func:`expected_tick_width` — slot ends per tick, as the schedule
+program estimates it from the inputs — reaches the batch crossover
+(about 20); narrower fleets stay on the object loop with that reason
+named.
 
 One knowingly-accepted divergence: schedule programs validate their
 declared slot-length tables at kernel entry, so a malformed length deep
@@ -52,6 +58,7 @@ raising differs, and error paths are outside the parity contract.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 try:
@@ -161,6 +168,19 @@ def batch_blocker(sim) -> Optional[str]:
     return None
 
 
+def expected_tick_width(sim) -> Fraction:
+    """Expected slot ends per kernel tick of a batch-eligible ``sim``.
+
+    Compared by ``engine="auto"`` against the batch crossover; each
+    schedule program states it (:meth:`ScheduleProgram.expected_width`)
+    from the inputs, without simulating.
+    """
+    adversary = sim.slot_adversary
+    return BATCH_SCHEDULES[type(adversary)].expected_width(
+        adversary, sim.station_ids
+    )
+
+
 def _promoted_program_cls(sim) -> type:
     """The algorithm program class a batch-eligible ``sim`` resolved to."""
     algorithm = sim.stations[next(iter(sim.station_ids))].algorithm
@@ -252,6 +272,16 @@ class ScheduleProgram:
     def __init__(self, kernel: "_BatchKernel", adversary) -> None:
         self.kernel = kernel
         self.adversary = adversary
+
+    @classmethod
+    def expected_width(cls, adversary, station_ids: Sequence[int]) -> Fraction:
+        """Expected slot ends per kernel tick for this fleet.
+
+        Every station opens its first slot at time 0, so stations whose
+        slot lengths follow one sequence end every slot together.  The
+        default is one such lock-step group: ``n`` per tick.
+        """
+        return Fraction(len(station_ids))
 
     def _ticks(self, public_length) -> int:
         """Convert one declared public length to validated ticks."""
@@ -705,6 +735,13 @@ def _register_builtin_algorithms() -> None:
 # ----------------------------------------------------------------------
 
 
+def _lockstep_width(station_ids: Sequence[int], sequence_of) -> Fraction:
+    """``n`` over the number of lock-step groups, ``sequence_of(sid)``
+    naming the slot-length sequence station ``sid`` follows."""
+    groups = {sequence_of(sid) for sid in station_ids}
+    return Fraction(len(station_ids), len(groups))
+
+
 class _ConstantSchedule(ScheduleProgram):
     """Shared body for adversaries producing one fixed length everywhere."""
 
@@ -720,8 +757,6 @@ class _ConstantSchedule(ScheduleProgram):
 
 class SynchronousProgram(_ConstantSchedule):
     def _constant_length(self):
-        from fractions import Fraction
-
         return Fraction(1)
 
 
@@ -731,6 +766,10 @@ class FixedLengthProgram(_ConstantSchedule):
 
 
 class PerStationFixedProgram(ScheduleProgram):
+    @classmethod
+    def expected_width(cls, adversary, station_ids):
+        return _lockstep_width(station_ids, adversary.lengths.get)
+
     def load(self) -> None:
         table = self.adversary.lengths
         ticks = np.empty(len(self.kernel.sids_list), dtype=np.int64)
@@ -768,6 +807,10 @@ class _PatternSchedule(ScheduleProgram):
 
 
 class CyclicPatternProgram(_PatternSchedule):
+    @classmethod
+    def expected_width(cls, adversary, station_ids):
+        return _lockstep_width(station_ids, adversary.patterns.get)
+
     def _pattern_for(self, sid: int):
         patterns = self.adversary.patterns
         if sid not in patterns:
@@ -778,12 +821,23 @@ class CyclicPatternProgram(_PatternSchedule):
 
 
 class WorstCaseCyclicProgram(_PatternSchedule):
+    @classmethod
+    def expected_width(cls, adversary, station_ids):
+        # Two lock-step groups, the odd and the even stations, at any R.
+        return _lockstep_width(station_ids, lambda sid: sid % 2)
+
     def _pattern_for(self, sid: int):
         adversary = self.adversary
         return adversary.odd_pattern if sid % 2 else adversary.even_pattern
 
 
 class TableDrivenProgram(ScheduleProgram):
+    @classmethod
+    def expected_width(cls, adversary, station_ids):
+        return _lockstep_width(
+            station_ids, lambda sid: adversary.table.get(sid, ())
+        )
+
     def load(self) -> None:
         table = self.adversary.table
         self.default_ticks = self._ticks(self.adversary.default)
@@ -806,6 +860,15 @@ class RandomUniformProgram(ScheduleProgram):
     """Draws stay scalar calls on the adversary's own ``random.Random``,
     one per member in ascending station-id order — the object path's
     exact draw order within a tick."""
+
+    @classmethod
+    def expected_width(cls, adversary, station_ids):
+        # Independent draws spread the slot ends evenly over the 1/D
+        # lattice: n per mean slot length, counted in lattice steps
+        # (D + steps/2 for lengths 1 + k/D, k uniform in 0..steps).
+        return Fraction(
+            2 * len(station_ids), 2 * adversary._denominator + adversary._steps
+        )
 
     def load(self) -> None:
         adversary = self.adversary

@@ -69,6 +69,11 @@ from .trace import SlotRecord, Trace
 #: How many events between channel prunes (amortizes the O(history) scan).
 _PRUNE_EVERY = 512
 
+#: Expected slot ends per tick at which ``engine="auto"`` promotes an
+#: eligible run: narrower ticks cannot repay the batch kernel's fixed
+#: per-tick NumPy cost, so the object loop is faster there.
+_BATCH_CROSSOVER = 20
+
 #: Sentinel threshold for "the arrival source can never fire again".
 #: Compares greater than every internal time (int ticks or Fraction).
 _NEVER = float("inf")
@@ -143,10 +148,12 @@ class Simulator:
             the run is batch-eligible — on the tick lattice, no
             per-event observers, vector programs registered for the
             slot adversary and the (homogeneous) station algorithm
-            class — and the per-object event loop otherwise.
+            class — *and* its expected slot ends per tick reach the
+            batch crossover (about 20; narrower ticks run faster on
+            the object loop), and the per-object event loop otherwise.
             :attr:`engine_detail` records how the choice fell: the
-            matched vector programs on promotion, the named blocker on
-            demotion.  ``"batch"``
+            matched vector programs on promotion, the named blocker (or
+            the too-narrow tick width) on demotion.  ``"batch"``
             demands the kernel and raises :class:`ConfigurationError`
             naming the blocker; ``"object"`` forces the per-object
             loop.  Observable results are bit-for-bit identical across
@@ -303,8 +310,9 @@ class Simulator:
         """Pick the inner loop; return ``(engine, detail)``.
 
         ``detail`` names the demotion blocker when ``"auto"`` falls back
-        to the object path, and the promotion path (which vector
-        programs matched) when the batch kernel is selected.
+        to the object path — an ineligible component, or ticks too
+        narrow to repay the kernel — and the promotion path (which
+        vector programs matched) when the batch kernel is selected.
         """
         if requested == "object":
             return "object", None
@@ -313,11 +321,18 @@ class Simulator:
                 "engine must be 'auto', 'batch' or 'object', "
                 f"got {requested!r}"
             )
-        from .batch import batch_blocker, promotion_detail
+        from .batch import batch_blocker, expected_tick_width, promotion_detail
 
         blocker = batch_blocker(self)
         if blocker is None:
-            return "batch", promotion_detail(self)
+            width = expected_tick_width(self)
+            if requested == "batch" or width >= _BATCH_CROSSOVER:
+                return "batch", promotion_detail(self)
+            return "object", (
+                f"batch-eligible, but ~{float(width):.3g} events per tick "
+                f"is below the batch crossover ({_BATCH_CROSSOVER}): the "
+                "object loop is faster"
+            )
         if requested == "batch":
             raise ConfigurationError(f"engine='batch' requested but {blocker}")
         return "object", blocker

@@ -56,6 +56,7 @@ __all__ = [
     "DEFAULT_CASES",
     "FLEET_CASES",
     "FLEET_WIN_MIN",
+    "NARROW_WIN_MIN",
     "PerfCase",
     "geometric_mean_speedup",
     "run_perf",
@@ -90,9 +91,10 @@ class PerfCase:
     elections: int = 40
     quick_elections: int = 8
     schedule: str = "worst"
-    #: Fleet cases only: minimum policed batch-over-object speedup.
-    #: ``None`` means the case is informational — its ``win`` cell stays
-    #: "-" and ``repro bench diff`` never fails on it.
+    #: Fleet cases only: minimum policed speedup of the engine
+    #: ``engine="auto"`` picks over the other one.  ``None`` means the
+    #: case is informational — its ``win`` cell stays "-" and
+    #: ``repro bench diff`` never fails on it.
     win_min: Optional[float] = None
 
 
@@ -128,26 +130,35 @@ DEFAULT_CASES: Tuple[PerfCase, ...] = (
 
 
 #: Fleet-scaling suite: lattice-eligible fleet scenarios at
-#: n = 1e2 .. 1e5 stations, run once on each engine (object vs the
-#: vectorized batch kernel) with parity asserted.  The n=1e4 rows are
-#: the headline: each ``win`` cell is "yes" only while the batch kernel
-#: beats the object loop by that case's ``win_min`` — an exact-compare
-#: cell, so ``repro bench diff`` fails the moment the vectorized win
-#: rots, at any tolerance.  The non-adaptive token ring (``rrw``) is
-#: held to :data:`FLEET_WIN_MIN`; the adaptive families (ARRoW, ABS) run
-#: masked-update programs with bounded per-tick sub-step chains and more
-#: synchronization, so their policed floor is the ISSUE's
-#: :data:`ADAPTIVE_WIN_MIN`.  Horizons shrink as n grows to hold events
-#: per case (and the object-path wall time) roughly constant.
+#: n = 1e2 .. 1e5 stations, plus two narrow fleets below the batch
+#: crossover, run once on each engine (object vs the vectorized batch
+#: kernel) with parity asserted; the ``auto`` column is the engine
+#: ``engine="auto"`` resolves to.  Each ``win`` cell is "yes" only
+#: while auto's pick beats the other engine by that case's ``win_min``
+#: — an exact-compare cell, so ``repro bench diff`` fails the moment
+#: either the vectorized win or the engine choice rots, at any
+#: tolerance.  The n=1e4 rows are the batch headlines: the
+#: non-adaptive token ring (``rrw``) is held to :data:`FLEET_WIN_MIN`;
+#: the adaptive families (ARRoW, ABS) run masked-update programs with
+#: bounded per-tick sub-step chains and more synchronization, so their
+#: policed floor is :data:`ADAPTIVE_WIN_MIN`.  The narrow random-schedule
+#: fleets (about one slot end per tick) are held to
+#: :data:`NARROW_WIN_MIN` in the object loop's favour.  Horizons shrink
+#: as n grows to hold events per case (and the object-path wall time)
+#: roughly constant.
 
 #: The policed batch-over-object speedup at the non-adaptive fleet
 #: headline (rrw, n=1e4).
 FLEET_WIN_MIN = 10.0
 
 #: The policed floor for the adaptive-family headlines (n=1e4): the
-#: ISSUE's >= 5x acceptance criterion for ARRoW and ABS under the
+#: >= 5x acceptance criterion for ARRoW and ABS under the
 #: masked-update batch programs.
 ADAPTIVE_WIN_MIN = 5.0
+
+#: The policed object-over-batch speedup on the narrow fleets, where
+#: ``engine="auto"`` must keep the run on the object loop.
+NARROW_WIN_MIN = 2.0
 
 FLEET_CASES: Tuple[PerfCase, ...] = (
     PerfCase(name="fleet-rrw-n1e2", algorithm="rrw", n=100,
@@ -169,6 +180,12 @@ FLEET_CASES: Tuple[PerfCase, ...] = (
     PerfCase(name="fleet-abs-n1e4", algorithm="abs", n=10_000,
              schedule="sync", rho=None, horizon=16, quick_horizon=12,
              win_min=ADAPTIVE_WIN_MIN),
+    PerfCase(name="fleet-ao-arrow-random-n8", algorithm="ao-arrow", n=8,
+             schedule="random", horizon=1200, quick_horizon=300,
+             win_min=NARROW_WIN_MIN),
+    PerfCase(name="fleet-rrw-random-n16", algorithm="rrw", n=16,
+             schedule="random", horizon=600, quick_horizon=150,
+             win_min=NARROW_WIN_MIN),
 )
 
 
@@ -287,9 +304,11 @@ def _run_fleet_case(case: PerfCase, engine: str, quick: bool, repeats: int):
 def _measure_fleet(
     suite: Sequence[PerfCase], quick: bool, repeats: int
 ) -> List[Dict[str, Any]]:
-    """Object-vs-batch measurements with per-case parity asserted."""
+    """Object-vs-batch measurements with per-case parity asserted, and
+    the engine ``engine="auto"`` picks (resolved at construction)."""
     measured: List[Dict[str, Any]] = []
     for case in suite:
+        auto = _case_spec(case).build().engine
         obj_fp, events, obj_s, obj_engine = _run_fleet_case(
             case, "object", quick, repeats
         )
@@ -309,7 +328,8 @@ def _measure_fleet(
         speedup = round(obj_s / bat_s, 2)
         win = "-"
         if case.win_min is not None:
-            win = "yes" if speedup >= case.win_min else f"NO ({speedup}x)"
+            picked = speedup if auto == "batch" else round(bat_s / obj_s, 2)
+            win = "yes" if picked >= case.win_min else f"NO ({picked}x)"
         measured.append(
             {
                 "case": case.name,
@@ -320,6 +340,7 @@ def _measure_fleet(
                     f"horizon {case.quick_horizon if quick else case.horizon}"
                 ),
                 "events": events,
+                "auto": auto,
                 "object_s": obj_s,
                 "batch_s": bat_s,
                 "object_evps": round(events / obj_s),
@@ -536,8 +557,8 @@ def run_perf(
     ]
     if fleet:
         # The fleet table is all exact-compare cells: deterministic
-        # event counts plus each headline's "win" marker next to the
-        # exact floor it is policed against.  Machine-varying
+        # event counts, the engine auto picks, plus each headline's
+        # "win" marker next to the exact floor it is policed against.  Machine-varying
         # throughput and speedups live in meta["fleet"].
         tables.append(
             {
@@ -549,6 +570,7 @@ def run_perf(
                     "work",
                     "events",
                     "engines",
+                    "auto",
                     "parity",
                     "win_min",
                     "win",
@@ -562,6 +584,7 @@ def run_perf(
                         row["work"],
                         row["events"],
                         "object/batch",
+                        row["auto"],
                         "ok",
                         row["win_min"],
                         row["win"],
@@ -576,7 +599,7 @@ def run_perf(
             "core perf suite: events/sec on the fraction vs tick-lattice "
             "timebase",
             "fleet suite: events/sec on the object vs vectorized batch "
-            "engine at n = 1e2..1e5",
+            "engine at n = 8..1e5, and the engine auto picks",
             "parity asserted per case: both paths produce identical "
             "executions",
             f"mode: {'quick (CI smoke)' if quick else 'full'}",

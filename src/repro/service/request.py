@@ -74,7 +74,8 @@ class RunOptions:
     a request built for one command can be replayed as another.
     """
 
-    #: Run loop: ``auto`` picks the vectorized batch kernel when eligible.
+    #: Run loop: ``auto`` picks the vectorized batch kernel when eligible
+    #: and wide enough (about 20 or more slot ends per tick).
     engine: str = "auto"
     #: Internal time representation (observably identical either way).
     timebase: str = "auto"

@@ -2,11 +2,14 @@
 
 Contract under test (see ``docs/vectorization.md``):
 
-* **Auto-detection** — ``Simulator(engine="auto")`` promotes exactly the
+* **Auto-detection** — ``batch_blocker`` admits exactly the
   lattice-eligible runs whose algorithm and adversary classes have
   registered vector programs; every other configuration demotes to the
   object path with a human-readable reason in ``engine_detail``, and a
   *forced* ``engine="batch"`` raises that same reason.
+  ``Simulator(engine="auto")`` promotes an eligible run only when its
+  expected slot ends per tick reach the batch crossover (20): narrower
+  fleets resolve to the object loop, naming their width.
 * **Parity** — for every eligible configuration the batch kernel
   produces a bit-identical execution: same events, same delivery
   instants (exact rationals), same channel counters, same retained
@@ -29,7 +32,13 @@ from repro.algorithms import CAArrow, RRW, SlottedAloha
 from repro.analysis import run_cell
 from repro.arrivals import ArrivalSource, UniformRate
 from repro.core import Simulator, execution_signature
-from repro.core.batch import BATCH_ALGORITHMS, BATCH_SCHEDULES, batch_blocker
+from repro.core.batch import (
+    BATCH_ALGORITHMS,
+    BATCH_SCHEDULES,
+    BatchKernel,
+    batch_blocker,
+    expected_tick_width,
+)
 from repro.core.errors import ConfigurationError
 from repro.core.trace import Trace
 from repro.obs.probes import ProbeBus
@@ -54,8 +63,9 @@ BATCH_ELIGIBLE_ALGORITHMS = {
 #: Scenario algorithms whose programs are adaptive masked-update ones.
 ADAPTIVE_BATCH_ALGORITHMS = {"abs", "ao-arrow", "ca-arrow", "ca-arrow-ft"}
 
-#: Bundled scenario files expected to auto-promote / demote.  The crash
-#: and jammed ARRoW scenarios stay object-path: ``crash_fleet`` wraps
+#: Bundled scenario files that are batch-eligible (``auto`` still keeps
+#: them on the object loop: n <= 9 is below the crossover) / not.  The
+#: crash and jammed ARRoW scenarios are ineligible: ``crash_fleet`` wraps
 #: every station in ``Crashable`` (no program) and jammers make the
 #: fleet heterogeneous.
 BATCH_ELIGIBLE_SCENARIOS = {
@@ -75,6 +85,12 @@ SCHEDULE_PARAMS = {
 }
 
 
+#: A fleet wide enough for ``engine="auto"`` to promote on every
+#: registered schedule (random at R=2 spreads it over the 1/8 lattice:
+#: ~21 slot ends per tick, above the crossover of 20).
+WIDE_N = 256
+
+
 def spec_for(algorithm, schedule="sync", **overrides):
     params = dict(
         algorithm=algorithm, n=4, max_slot=2, rho="1/2", horizon=200,
@@ -82,6 +98,29 @@ def spec_for(algorithm, schedule="sync", **overrides):
     )
     params.update(overrides)
     return ScenarioSpec(**params)
+
+
+def wide_spec_for(algorithm, schedule="sync", **overrides):
+    """``spec_for`` on a ``WIDE_N`` fleet, the per-station schedule
+    tables repeating every four stations."""
+    params = {
+        key: {str(sid): value[str((sid - 1) % 4 + 1)]
+              for sid in range(1, WIDE_N + 1)}
+        if isinstance(value, dict) else value
+        for key, value in SCHEDULE_PARAMS.get(schedule, {}).items()
+    }
+    return spec_for(algorithm, n=WIDE_N, **overrides).replace(
+        schedule={"name": schedule, **params}
+    )
+
+
+def narrow_reason(sim):
+    """The width demotion of a batch-eligible ``auto`` run is named."""
+    return (
+        sim.engine == "object"
+        and sim.engine_detail.startswith("batch-eligible, but ~")
+        and "below the batch crossover (20)" in sim.engine_detail
+    )
 
 
 def fingerprint(sim, drain=True):
@@ -131,6 +170,11 @@ class TestEngineAutoDetection:
     def test_every_registered_algorithm_resolves_with_reason(self, name):
         sim = spec_for(name).build()
         if name in BATCH_ELIGIBLE_ALGORITHMS:
+            # Eligible at n=4, but 4 slot ends per tick stay on the
+            # object loop; the wide fleet promotes.
+            assert batch_blocker(sim) is None
+            assert narrow_reason(sim)
+            sim = wide_spec_for(name).build()
             assert sim.engine == "batch"
             # Promotion names the matched vector programs (satellite of
             # the adaptive-vectorization issue: --verbose-engine prints
@@ -156,6 +200,8 @@ class TestEngineAutoDetection:
     @pytest.mark.parametrize("name", sorted(SCHEDULES.names()))
     def test_every_registered_schedule_is_vectorized(self, name):
         sim = spec_for("rrw", schedule=name).build()
+        assert batch_blocker(sim) is None, batch_blocker(sim)
+        sim = wide_spec_for("rrw", schedule=name).build()
         assert sim.engine == "batch", sim.engine_detail
 
     def test_registries_are_populated(self):
@@ -299,7 +345,7 @@ class TestEngineAutoDetection:
             spec_for("rrw").build(engine="batch", probes=ProbeBus())
 
     def test_stop_when_auto_falls_back_forced_raises(self):
-        spec = spec_for("rrw")
+        spec = wide_spec_for("rrw")
         auto = spec.build()  # resolves to batch
         assert auto.engine == "batch"
         auto.run(until_time=50, stop_when=lambda s: s.events_processed >= 10)
@@ -307,6 +353,89 @@ class TestEngineAutoDetection:
         forced = spec.build(engine="batch")
         with pytest.raises(ConfigurationError, match="stop_when"):
             forced.run(until_time=50, stop_when=lambda s: False)
+
+
+class TestAutoCrossover:
+    """``engine="auto"`` promotes an eligible run only when the expected
+    slot ends per tick its schedule program states reach the crossover
+    of 20: ``n`` on a constant-length schedule, ``n / 2`` on ``worst``
+    (odd and even stations in lock-step), ``n`` over the mean slot
+    length in 1/D lattice steps on ``random``."""
+
+    @pytest.mark.parametrize(
+        "schedule, max_slot, last_object",
+        [
+            ("sync", 2, 19),  # aligned: n per tick
+            ("fixed", 2, 19),  # constant 3/2: still aligned
+            ("worst", 2, 39),  # two lock-step groups
+            ("worst", 4, 39),  # ... at any R
+            ("random", 2, 239),  # mean 3/2 = 12 steps of 1/8
+            ("random", "3/2", 199),  # mean 5/4 = 10 steps of 1/8
+            ("random", 4, 399),  # mean 5/2 = 20 steps of 1/8
+        ],
+    )
+    def test_largest_object_and_smallest_promoted_fleet(
+        self, schedule, max_slot, last_object
+    ):
+        narrow = spec_for(
+            "rrw", schedule=schedule, max_slot=max_slot, n=last_object
+        ).build()
+        assert batch_blocker(narrow) is None
+        assert narrow_reason(narrow)
+        wide = spec_for(
+            "rrw", schedule=schedule, max_slot=max_slot, n=last_object + 1
+        ).build()
+        assert wide.engine == "batch"
+        assert wide.engine_detail.startswith("promoted: RRW -> RRWProgram")
+
+    def test_detail_names_width_and_crossover(self):
+        sim = spec_for("rrw", schedule="random", n=16).build()
+        assert sim.engine_detail == (
+            "batch-eligible, but ~1.33 events per tick is below the batch "
+            "crossover (20): the object loop is faster"
+        )
+        assert sim.engine_described == "object"
+
+    @pytest.mark.parametrize(
+        "schedule, max_slot, n",
+        [
+            ("sync", 2, 64),
+            ("worst", 2, 64),
+            ("worst", 3, 64),
+            ("worst", 4, 64),
+            ("random", "3/2", 256),
+            ("random", 2, 256),
+            ("random", 4, 256),
+        ],
+    )
+    def test_estimate_tracks_the_kernels_measured_width(
+        self, monkeypatch, schedule, max_slot, n
+    ):
+        ticks = []
+        process_tick = BatchKernel._process_tick
+
+        def counted(kernel, tick, members):
+            ticks.append(len(members))
+            return process_tick(kernel, tick, members)
+
+        monkeypatch.setattr(BatchKernel, "_process_tick", counted)
+        spec = spec_for("rrw", schedule=schedule, max_slot=max_slot, n=n)
+        sim = spec.build(engine="batch")
+        sim.run(max_events=8000)
+        measured = sum(ticks) / len(ticks)
+        assert 0.8 <= measured / expected_tick_width(sim) <= 1.6
+
+    def test_forced_batch_runs_the_kernel_on_a_narrow_fleet(self):
+        spec = spec_for("ao-arrow", schedule="random", n=8, horizon=300)
+        assert narrow_reason(spec.build())
+        object_sim, batch_sim = paired(spec)
+        assert batch_sim.engine_detail.startswith("promoted: AOArrow")
+        object_sim.run(until_time=spec.horizon)
+        batch_sim.run(until_time=spec.horizon)
+        assert batch_sim._batch_kernel is not None  # the kernel ran
+        assert execution_signature(batch_sim) == execution_signature(
+            object_sim
+        )
 
 
 class TestBatchObjectParity:
@@ -318,7 +447,10 @@ class TestBatchObjectParity:
     )
     def test_eligible_bundled_scenarios_bit_identical(self, path):
         spec = load_spec(path).replace(horizon=600)
-        assert spec.build().engine == "batch"
+        # Bundled fleets (n <= 9) are eligible but too narrow to promote.
+        auto = spec.build()
+        assert batch_blocker(auto) is None
+        assert narrow_reason(auto)
         object_sim, batch_sim = paired(spec)
         object_sim.run(until_time=spec.horizon)
         batch_sim.run(until_time=spec.horizon)
@@ -440,6 +572,37 @@ class TestBatchObjectParity:
             alternating._engine = "batch" if chunk % 2 else "object"
             alternating.run(until_time=(chunk + 1) * 100)
         assert fingerprint(reference) == fingerprint(alternating)
+
+    def test_table_driven_and_listening_fleets_bit_identical(self):
+        """Two programs no scenario reaches, forced onto the kernel: a
+        ``TableDriven`` schedule (per-station rows, then the default
+        tail) and an all-``AlwaysListen`` fleet."""
+        from repro.core.station import AlwaysListen
+        from repro.timing import TableDriven
+
+        table = TableDriven(
+            {1: [2, "3/2", 1], 3: ["3/2", "3/2"], 4: [1, 2]}, default="3/2"
+        )
+        builds = (
+            lambda engine: Simulator(
+                {i: RRW(i, 4) for i in range(1, 5)}, table,
+                max_slot_length=2, engine=engine,
+                arrival_source=UniformRate(
+                    rho=Fraction(1, 2), targets=[1, 2, 3, 4],
+                    assumed_cost=2,
+                ),
+            ),
+            lambda engine: Simulator(
+                [AlwaysListen() for _ in range(3)], Synchronous(),
+                max_slot_length=1, engine=engine,
+            ),
+        )
+        for build in builds:
+            object_sim, batch_sim = build("object"), build("batch")
+            assert batch_sim.engine == "batch", batch_sim.engine_detail
+            object_sim.run(until_time=400)
+            batch_sim.run(until_time=400)
+            assert fingerprint(object_sim) == fingerprint(batch_sim)
 
     def test_ft_skip_ladder_bit_identical(self):
         """A permanently silent ring id engages the skip/claim ladder
@@ -572,9 +735,12 @@ class TestBatchChaosParity:
             spec_for("rrw", horizon=300, rho=f"{k}/8").to_cell(name=f"b{k}")
             for k in range(1, 6)
         ]
-        baseline = [run_cell(c) for c in cells]
+        baseline = [run_cell(c, engine="batch") for c in cells]
         assert all(r.engine == "batch" for r in baseline)
-        tasks = [(lambda c: (lambda: run_cell(c)))(c) for c in cells]
+        tasks = [
+            (lambda c: (lambda: run_cell(c, engine="batch")))(c)
+            for c in cells
+        ]
         plan = ChaosPlan(
             events=(
                 ChaosEvent("crash", index=0, attempts=1),

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -53,13 +55,43 @@ class TestRunCommand:
         pytest.importorskip("numpy")
         code = main(
             ["run", "--algorithm", "ca-arrow", "--n", "3", "--horizon",
-             "200", "--verbose-engine"]
+             "200", "--engine", "batch", "--verbose-engine"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "engine:         batch/" in out
         assert "promoted: CAArrow -> CAArrowProgram" in out
         assert "adaptive masked-update" in out
+
+    def test_verbose_engine_prints_width_reason(self, capsys):
+        """A bundled four-station scenario is batch-eligible, but auto
+        keeps it on the object loop and names the tick width."""
+        pytest.importorskip("numpy")
+        scenario = pathlib.Path(__file__).resolve().parents[1] / (
+            "scenarios/rrw_sync.json"
+        )
+        code = main(
+            ["scenario", "run", str(scenario), "--horizon", "300",
+             "--verbose-engine"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "engine:         object/" in out
+        assert (
+            "batch-eligible, but ~4 events per tick is below the batch "
+            "crossover (20)" in out
+        )
+
+    def test_verbose_engine_promotes_a_wide_fleet(self, capsys):
+        pytest.importorskip("numpy")
+        code = main(
+            ["run", "--algorithm", "rrw", "--n", "1000", "--rho", "1/2",
+             "--schedule", "sync", "--horizon", "20", "--verbose-engine"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "engine:         batch/" in out
+        assert "promoted: RRW -> RRWProgram" in out
 
     def test_verbose_engine_prints_demotion_reason(self, capsys):
         pytest.importorskip("numpy")
@@ -427,8 +459,9 @@ class TestHistoryCommand:
         ``--engine "batch(adaptive)"`` narrows to the adaptive ones."""
         pytest.importorskip("numpy")
         main(["run", "--algorithm", "ca-arrow", "--n", "3",
-              "--horizon", "400"])
-        main(["run", "--algorithm", "rrw", "--n", "3", "--horizon", "400"])
+              "--horizon", "400", "--engine", "batch"])
+        main(["run", "--algorithm", "rrw", "--n", "3", "--horizon", "400",
+              "--engine", "batch"])
         capsys.readouterr()
         assert main(["history", "query", "--engine", "batch"]) == 0
         out = capsys.readouterr().out

@@ -437,3 +437,7 @@ class TestPerfSuite:
         assert rows["f-info"][-2:] == ["-", "-"]
         assert rows["f-policed"][-2] == ">=0.0001x"
         assert rows["f-policed"][-1] == "yes"
+        # Both fleets sit below the batch crossover: the exact-compare
+        # ``auto`` column records the object loop as auto's pick.
+        auto = fleet_table["headers"].index("auto")
+        assert [row[auto] for row in fleet_table["rows"]] == ["object"] * 2
