@@ -124,12 +124,13 @@ class CloningGreedyAdversary(SlotAdversary):
             clone.run(max_events=clone.events_processed + self.horizon_events)
         except Exception:  # a broken victim counts as maximal damage
             return (10**9, 0)
-        stats = clone.channel.stats
-        live_successes = clone.channel.count_successes_up_to(clone.now)
+        # ``count_successes_up_to`` already includes the successes that
+        # pruning folded into the stats.
+        successes = clone.channel.count_successes_up_to(clone.now)
         score = (
-            stats.collisions * self.collision_weight
+            clone.channel.stats.collisions * self.collision_weight
             + clone.total_backlog
-            - (stats.successes + live_successes) * self.success_weight
+            - successes * self.success_weight
         )
         return (score, -length)  # tie-break toward short slots
 

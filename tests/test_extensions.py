@@ -18,6 +18,7 @@ from repro.timing import (
     MaxOverlapAdversary,
     PerStationFixed,
     RandomUniform,
+    SlotAdversary,
     Synchronous,
     worst_case_for,
 )
@@ -219,3 +220,43 @@ class TestLookaheadAdversaries:
         queued = sum(sim.queue_size(i) for i in sim.station_ids)
         assert delivered + sim.total_backlog >= delivered + queued
         assert sim.now == 120
+
+    def test_cloning_score_ignores_channel_pruning(self):
+        # Pruning folds old successes into the channel stats every 512
+        # events; a probe scored after a prune must count each success
+        # once, exactly as it would on a run that keeps its history.
+        from repro.algorithms import CAArrow
+        from repro.arrivals import UniformRate
+
+        class ScoringProbe(SlotAdversary):
+            """Score every candidate past event 512, then play length 1."""
+
+            def __init__(self):
+                self.greedy = CloningGreedyAdversary(2, horizon_events=16)
+                self.scores = []
+
+            def next_slot_length(self, sim, station_id, slot_index):
+                if sim.events_processed > 520 and len(self.scores) < 6:
+                    self.scores.append(tuple(
+                        self.greedy._score(sim, station_id, length)
+                        for length in self.greedy.candidates
+                    ))
+                return Fraction(1)
+
+        scores = {}
+        for keep in (False, True):
+            n, R = 3, 2
+            probe = ScoringProbe()
+            sim = Simulator(
+                {i: CAArrow(i, n, R) for i in range(1, n + 1)},
+                probe,
+                max_slot_length=R,
+                arrival_source=UniformRate(
+                    rho="1/2", targets=[1, 2, 3], assumed_cost=R
+                ),
+                keep_channel_history=keep,
+            )
+            sim.run(max_events=540)
+            assert len(probe.scores) == 6
+            scores[keep] = probe.scores
+        assert scores[False] == scores[True]
