@@ -23,10 +23,13 @@ Design contract (the parity-oracle contract, see docs/vectorization.md):
   (overlap requires ``start < end``; an acknowledgment requires the
   success to end at or before ``t``, and every stored record ends
   strictly after it starts).  Hence the feedback of every slot ending
-  at ``t`` is computable up front, and processing the tick's stations
-  in ascending-id order reproduces the event order exactly — any
-  *prefix* of that order is also event-order exact, which is how
-  ``max_events`` and ``run_until_success`` stop mid-tick losslessly.
+  at ``t`` is computable up front: the tick's slot-start array
+  compared against the channel's two marks at ``t``
+  (:meth:`~repro.core.channel.Channel.marks`).  Processing the tick's
+  stations in ascending-id order then reproduces the event order
+  exactly — any *prefix* of that order is also event-order exact,
+  which is how ``max_events`` and ``run_until_success`` stop mid-tick
+  losslessly.
 * RNG-bearing components (:class:`~repro.algorithms.aloha.SlottedAloha`
   per-station generators, :class:`~repro.timing.adversary.RandomUniform`)
   keep their canonical ``random.Random`` objects; draws happen as
@@ -1185,33 +1188,13 @@ class BatchKernel:
     def _feedback(self, m, tick: int):
         """Feedback codes for every member slot ending at ``tick``.
 
-        Mirrors ``Channel.feedback_for`` over the whole batch: one
-        reverse scan of the record list, stopping once records can no
-        longer reach even the earliest member slot.
+        ``Channel.feedback_for``'s two compares against the channel's
+        marks, applied to the whole batch's slot starts at once.
         """
+        ack, busy = self.sim.channel.marks(tick)
         starts = self.slot_start[m]
-        acked = np.zeros(len(m), dtype=bool)
-        busy = np.zeros(len(m), dtype=bool)
-        busy_all = False
-        horizon = int(starts.min()) - self.max_dur
-        for record in reversed(self.sim.channel._transmissions):
-            interval = record.interval
-            start = interval.start
-            if start <= horizon:
-                break
-            end = interval.end
-            if end <= tick:
-                hit = starts < end
-                if not record.overlapped:
-                    acked |= hit
-                busy |= hit
-            elif start < tick:
-                # Still in flight at tick: overlaps every member slot.
-                busy_all = True
-        if busy_all:
-            fb = np.where(acked, _F_ACK, _F_BUSY).astype(np.int8)
-        else:
-            fb = np.where(
-                acked, _F_ACK, np.where(busy, _F_BUSY, _F_SILENCE)
-            ).astype(np.int8)
+        acked = starts < ack
+        fb = np.where(
+            acked, _F_ACK, np.where(starts < busy, _F_BUSY, _F_SILENCE)
+        ).astype(np.int8)
         return fb, acked

@@ -8,12 +8,22 @@ real time**, and produces per-slot feedback for each station:
 * ``SILENCE`` — nothing overlapped the slot,
 * ``BUSY``    — activity overlapped the slot but no success ended in it.
 
-Correctness of the feedback computation relies on event causality: the
-simulator records every transmission at the moment its slot *starts*,
-and only asks for feedback of slots ending at time ``t`` once every slot
-starting before ``t`` has been recorded.  A transmission that ended at
-``e <= t`` can only be overlapped by transmissions starting before
-``e``, so its success is fully determined at time ``t``.
+The feedback oracle is two marks kept for the channel's clock ``e``:
+
+* the *ACK mark*, the end of the latest finalized success.  A record
+  not overlapped by the time its end is reached never will be, so the
+  clean records' end-ordered heap is popped as the clock passes ends;
+* the *BUSY mark*, the largest end among records that started strictly
+  before ``e``: a running maximum, snapshotted whenever the clock
+  advances.
+
+A slot ``[s, e)`` hears ``ACK`` iff ``s < ack``, else ``BUSY`` iff
+``s < busy``, else ``SILENCE``.  This is exact because of time order,
+which event causality gives the simulator: transmissions are recorded
+when their slot starts, feedback is asked at a slot's end, and events
+run in time order.  The clock only moves forward; a query for an
+instant before it, or a transmission starting before it, raises
+:class:`~repro.core.errors.SimulationError`.  Time starts at zero.
 
 Time units: the channel stores intervals in the simulator's *internal*
 timebase (exact Fractions by default, integer ticks under a
@@ -95,11 +105,12 @@ class Channel:
     can no longer influence any future slot, keeping long stability runs
     bounded in memory while the :class:`ChannelStats` counters stay
     exact (successes are folded into the stats as records are pruned).
+    Feedback never reads that list: it comes from the two marks
+    described in the module docstring.
     """
 
     def __init__(
         self,
-        max_transmission_duration=None,
         probes=None,
         timebase: Optional[Timebase] = None,
     ) -> None:
@@ -107,46 +118,41 @@ class Channel:
             timebase if timebase is not None else FRACTION_TIMEBASE
         )
         self._transmissions: List[Transmission] = []
-        self._pruned_success_count = 0
         self._stats = ChannelStats()
         #: Optional :class:`~repro.obs.probes.ProbeBus`; the channel
         #: fires one ``collision`` event per transmission that becomes
         #: overlapped (same counting as ``stats.collisions``).
         self.probes = probes
-        # Duration accumulators and the first-success watermark live in
-        # internal units; public properties convert on read.
-        self._busy_internal = self._timebase.zero
-        self._success_internal = self._timebase.zero
-        self._first_success_internal = None
-        #: When set (the simulator passes R, in internal units), scans
-        #: over the start-sorted record list stop early: a transmission
-        #: starting more than this long before an interval cannot reach
-        #: into it.
-        self._max_duration = max_transmission_duration
-        # Incremental finalized-success tracking (opt-in): an
-        # end-ordered heap of records whose success flag is final once
-        # simulation time reaches their end.  Keeps per-event success
-        # polling O(log history) instead of O(history).
-        self._tracking = False
-        self._track_heap: List[Tuple[object, int, Transmission]] = []
-        self._track_seq = 0
-        self._track_count = 0
-        self._track_first_end = None
+        zero = self._timebase.zero
+        # Duration accumulators live in internal units; public
+        # properties convert on read.
+        self._busy_internal = zero
+        self._success_internal = zero
+        # The clock, the two feedback marks valid at it, and the
+        # running maximum end the BUSY mark snapshots (all internal).
+        self._now = zero
+        self._ack = zero
+        self._busy = zero
+        self._end_max = zero
+        # Successes finalized so far, and the earliest one's end.
+        self._finalized = 0
+        self._first_ack = None
         # Incremental collision detection.  Starts are non-decreasing
         # (begin_transmission's contract), so "overlaps a new interval"
         # reduces to "ends strictly after the new start".  Un-overlapped
         # records sit on an end-ordered heap: entries ending at or
-        # before a new start can never collide again and are popped for
-        # good; everything still on the heap collides with the new
-        # record.  Overlapped records never need marking again, so for
-        # them one running maximum end answers "does the new record
-        # overlap any of those".  Together: amortised O(log history)
-        # per transmission where a window rescan is O(window) — the
-        # difference between linear and quadratic inside the n-way
-        # same-instant collisions of a large election phase.
+        # before the clock can never collide again and are popped for
+        # good as finalized successes; everything still on the heap
+        # collides with a new record.  Overlapped records never need
+        # marking again, so for them one running maximum end answers
+        # "does the new record overlap any of those".  Together:
+        # amortised O(log history) per transmission where a window
+        # rescan is O(window) — the difference between linear and
+        # quadratic inside the n-way same-instant collisions of a large
+        # election phase.
         self._clean_open: List[Tuple[object, int, Transmission]] = []
         self._clean_seq = 0
-        self._dirty_end_max = None
+        self._dirty_end_max = zero
 
     @property
     def stats(self) -> ChannelStats:
@@ -158,28 +164,41 @@ class Channel:
 
     @property
     def first_success_end(self) -> Optional[Time]:
-        """End time of the first successful transmission finalized so far.
+        """End time of the first success finalized so far (public time).
 
-        For runs that prune in time order this is exact.
+        A success is finalized when the clock reaches its end, through
+        a feedback query or a later transmission's start.
         """
-        if self._first_success_internal is None:
+        if self._first_ack is None:
             return None
-        return self._timebase.to_public(self._first_success_internal)
+        return self._timebase.to_public(self._first_ack)
 
-    def _relevant_reversed(self, threshold_start):
-        """Records that might intersect anything at/after ``threshold_start``.
+    # ------------------------------------------------------------------
+    # The clock
+    # ------------------------------------------------------------------
 
-        Iterates newest-first and stops once starts fall far enough in
-        the past that the duration bound rules out any overlap.
+    def _advance(self, moment, what: str) -> None:
+        """Move the clock forward to ``moment`` (internal units).
+
+        Every record recorded so far started before ``moment``, so the
+        BUSY mark becomes the running maximum end; clean records that
+        ended by ``moment`` are finalized successes and move the ACK
+        mark.  Callers skip the call when ``moment`` is the clock.
         """
-        if self._max_duration is None:
-            yield from reversed(self._transmissions)
-            return
-        horizon = threshold_start - self._max_duration
-        for record in reversed(self._transmissions):
-            if record.interval.start <= horizon:
-                return
-            yield record
+        if moment < self._now:
+            raise SimulationError(
+                f"{what} {moment} is before the channel clock "
+                f"{self._now}: channel calls must come in time order"
+            )
+        self._now = moment
+        self._busy = self._end_max
+        clean = self._clean_open
+        while clean and clean[0][0] <= moment:
+            end = heapq.heappop(clean)[0]
+            if self._first_ack is None:
+                self._first_ack = end
+            self._ack = end
+            self._finalized += 1
 
     # ------------------------------------------------------------------
     # Recording
@@ -193,25 +212,18 @@ class Channel:
     ) -> Transmission:
         """Record a transmission occupying ``interval``.
 
-        Must be called in non-decreasing order of ``interval.start``;
-        the simulator guarantees this because transmissions begin at
-        slot starts and events are processed in time order.
+        ``interval.start`` must not precede the clock (the last start
+        recorded or instant queried); the simulator guarantees this
+        because transmissions begin at slot starts and events are
+        processed in time order.
         """
-        if (
-            self._transmissions
-            and interval.start < self._transmissions[-1].interval.start
-        ):
-            raise SimulationError(
-                "transmissions must be recorded in start-time order: "
-                f"{interval.start} after {self._transmissions[-1].interval.start}"
-            )
+        start = interval.start
+        if start != self._now:
+            self._advance(start, "transmission start")
         record = Transmission(station_id=station_id, interval=interval, packet=packet)
         stats = self._stats
-        start = interval.start
         clean = self._clean_open
-        while clean and clean[0][0] <= start:
-            heapq.heappop(clean)  # ended by now: finalized successes
-        if self._dirty_end_max is not None and self._dirty_end_max > start:
+        if self._dirty_end_max > start:
             record.overlapped = True
             stats.collisions += 1
             self._probe_collision(record)
@@ -230,24 +242,22 @@ class Channel:
                     stats.collisions += 1
                     self._probe_collision(record)
                 other_end = other.interval.end
-                if self._dirty_end_max is None or other_end > self._dirty_end_max:
+                if other_end > self._dirty_end_max:
                     self._dirty_end_max = other_end
+        end = interval.end
         if record.overlapped:
-            if self._dirty_end_max is None or interval.end > self._dirty_end_max:
-                self._dirty_end_max = interval.end
+            if end > self._dirty_end_max:
+                self._dirty_end_max = end
         else:
             self._clean_seq += 1
-            heapq.heappush(clean, (interval.end, self._clean_seq, record))
+            heapq.heappush(clean, (end, self._clean_seq, record))
+        if end > self._end_max:
+            self._end_max = end
         self._transmissions.append(record)
         stats.transmissions += 1
         self._busy_internal += interval.duration
         if packet is None:
             stats.control_transmissions += 1
-        if self._tracking:
-            self._track_seq += 1
-            heapq.heappush(
-                self._track_heap, (interval.end, self._track_seq, record)
-            )
         return record
 
     def _probe_collision(self, transmission: Transmission) -> None:
@@ -266,75 +276,51 @@ class Channel:
     # Feedback
     # ------------------------------------------------------------------
 
+    def marks(self, moment) -> Tuple[object, object]:
+        """The ``(ack, busy)`` marks at ``moment`` (internal units).
+
+        A slot ending at ``moment`` that started at ``s`` hears ``ACK``
+        iff ``s < ack``, else ``BUSY`` iff ``s < busy``, else
+        ``SILENCE``.  Advances the clock; ``moment`` must not precede
+        it.  The batch kernel applies the two compares to a whole
+        tick's slot starts at once.
+        """
+        if moment != self._now:
+            self._advance(moment, "feedback query at")
+        return self._ack, self._busy
+
     def feedback_for(self, slot: Interval) -> Feedback:
-        """Per-slot feedback resolved in a single bounded scan.
+        """Per-slot feedback for ``slot``, asked at its end.
 
-        Equivalent to ``ACK`` if :meth:`successful_ending_within` finds a
-        record, else ``BUSY`` if :meth:`feedback_has_activity`, else
-        ``SILENCE`` — but walks the recent history once instead of
-        twice.  This is the event loop's hot path; the overlap and
-        ends-within predicates are inlined on purpose.
+        :meth:`marks` at ``slot.end`` and its two compares, inlined:
+        this is the object loop's hot path.
         """
+        moment = slot.end
+        if moment != self._now:
+            self._advance(moment, "feedback query at")
         start = slot.start
-        end = slot.end
-        horizon = (
-            None if self._max_duration is None else start - self._max_duration
-        )
-        activity = False
-        for t in reversed(self._transmissions):
-            t_interval = t.interval
-            t_start = t_interval.start
-            if horizon is not None and t_start <= horizon:
-                break
-            t_end = t_interval.end
-            if not t.overlapped and start < t_end <= end:
-                # A success ending inside the slot: ACK dominates BUSY.
-                return Feedback.ACK
-            if t_start < end and start < t_end:
-                activity = True
-        return Feedback.BUSY if activity else Feedback.SILENCE
+        if start < self._ack:
+            return Feedback.ACK
+        if start < self._busy:
+            return Feedback.BUSY
+        return Feedback.SILENCE
 
-    def feedback_has_activity(self, slot: Interval) -> bool:
-        """True when any transmission overlaps ``slot``."""
-        return any(
-            t.interval.overlaps(slot) for t in self._relevant_reversed(slot.start)
-        )
+    def finalized_successes(self, moment) -> int:
+        """Successes with ``end <= moment`` (``moment`` in internal units).
 
-    def successful_ending_within(self, slot: Interval) -> Optional[Transmission]:
-        """A successful transmission ending in ``(slot.start, slot.end]``, if any.
-
-        Multiple back-to-back successes can end inside one long
-        listening slot; the paper's feedback is still a single
-        acknowledgment.  We return the latest-ending one; callers that
-        need every success use :meth:`successes_ending_within`.
+        Advances the clock like :meth:`marks`.  Amortised O(log
+        history): each record is popped once, when the clock first
+        reaches its end.  The SST stop check.
         """
-        best: Optional[Transmission] = None
-        for t in self._relevant_reversed(slot.start):
-            if t.successful and t.interval.ends_within(slot):
-                if best is None or t.interval.end > best.interval.end:
-                    best = t
-        return best
-
-    def successes_ending_within(self, slot: Interval) -> List[Transmission]:
-        """All successful transmissions ending in ``(slot.start, slot.end]``.
-
-        Uses the duration-bounded reverse scan (a transmission starting
-        more than one maximum duration before the slot cannot end inside
-        it); results stay in chronological (start) order.
-        """
-        found = [
-            t
-            for t in self._relevant_reversed(slot.start)
-            if t.successful and t.interval.ends_within(slot)
-        ]
-        found.reverse()
-        return found
+        self.marks(moment)
+        return self._finalized
 
     def count_successes_up_to(self, moment: Time) -> int:
         """Number of successful transmissions ended by ``moment`` (inclusive).
 
         ``moment`` is a public time; the comparison against internal
-        record endpoints is exact (see module docstring).
+        record endpoints is exact (see module docstring).  Unlike
+        :meth:`finalized_successes` it leaves the clock alone.
         """
         mark = self._timebase.floor_internal(as_time(moment))
         live = sum(
@@ -342,57 +328,7 @@ class Channel:
             for t in self._transmissions
             if not t.overlapped and t.interval.end <= mark
         )
-        return self._pruned_success_count + live
-
-    # ------------------------------------------------------------------
-    # Incremental success finalization (the SST fast path)
-    # ------------------------------------------------------------------
-
-    def start_success_tracking(self) -> None:
-        """Begin maintaining the finalized-success counter incrementally.
-
-        Seeds the counter from successes already pruned into stats and
-        indexes the live records on an end-ordered heap; from here on
-        :meth:`begin_transmission` keeps the heap current.  Idempotent.
-        """
-        if self._tracking:
-            return
-        self._tracking = True
-        self._track_count = self._pruned_success_count
-        self._track_first_end = self._first_success_internal
-        heap = [
-            (t.interval.end, index, t)
-            for index, t in enumerate(self._transmissions)
-        ]
-        heapq.heapify(heap)
-        self._track_heap = heap
-        self._track_seq = len(heap)
-
-    def finalized_successes(self, moment) -> int:
-        """Successes with ``end <= moment`` (``moment`` in internal units).
-
-        Requires :meth:`start_success_tracking`.  Amortised O(log
-        history) per call: each record is popped exactly once, when
-        simulation time first reaches its end — the instant its success
-        flag becomes final (any overlapper must start before the end,
-        and is recorded by then).  ``moment`` must be non-decreasing
-        across calls, which the simulator's event order guarantees.
-        """
-        heap = self._track_heap
-        while heap and heap[0][0] <= moment:
-            end, _seq, record = heapq.heappop(heap)
-            if not record.overlapped:
-                self._track_count += 1
-                if self._track_first_end is None or end < self._track_first_end:
-                    self._track_first_end = end
-        return self._track_count
-
-    @property
-    def first_finalized_success_end(self) -> Optional[Time]:
-        """End of the earliest success seen by the tracker (public time)."""
-        if self._track_first_end is None:
-            return None
-        return self._timebase.to_public(self._track_first_end)
+        return self._stats.successes + live
 
     # ------------------------------------------------------------------
     # Memory management
@@ -415,14 +351,8 @@ class Channel:
         for t in self._transmissions:
             if t.interval.end <= low_water_mark:
                 if not t.overlapped:
-                    self._pruned_success_count += 1
                     self._stats.successes += 1
                     self._success_internal += t.interval.duration
-                    if (
-                        self._first_success_internal is None
-                        or t.interval.end < self._first_success_internal
-                    ):
-                        self._first_success_internal = t.interval.end
             else:
                 keep.append(t)
         self._transmissions = keep
@@ -451,8 +381,3 @@ class Channel:
             )
             for t in self._transmissions
         ]
-
-    @property
-    def total_successes_finalized(self) -> int:
-        """Successes folded into stats so far (pruned records only)."""
-        return self._pruned_success_count

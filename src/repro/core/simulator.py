@@ -196,11 +196,7 @@ class Simulator:
         self.profiler = profiler
         self._timebase = self._resolve_timebase(timebase)
         self._max_slot_internal = self._timebase.to_internal(self.max_slot_length)
-        self.channel = Channel(
-            max_transmission_duration=self._max_slot_internal,
-            probes=probes,
-            timebase=self._timebase,
-        )
+        self.channel = Channel(probes=probes, timebase=self._timebase)
         self.trace = trace if trace is not None else Trace()
 
         self.stations: Dict[int, StationRuntime] = {
@@ -833,13 +829,10 @@ class Simulator:
         The workhorse of SST experiments.  Returns ``None`` if
         ``max_events`` elapsed with no success (the SST algorithm failed
         or the adversary prevented progress for that long).  The stop
-        check uses the channel's incremental finalized-success tracker,
-        so the per-event cost is O(log history) rather than a scan of
-        the whole transmission list.
+        check reads the channel's finalized-success count, which the
+        feedback oracle keeps anyway, so it costs O(1) per event.
         """
         channel = self.channel
-        channel.start_success_tracking()
-
         if self._engine == "batch":
             if not self._started:
                 self._start()
@@ -852,7 +845,7 @@ class Simulator:
             self.run(max_events=max_events, stop_when=succeeded)
         if channel.finalized_successes(self._now_internal) == 0:
             return None
-        return channel.first_finalized_success_end
+        return channel.first_success_end
 
     def _batch_run(
         self, limit_internal, limit_time, max_events, check_success: bool

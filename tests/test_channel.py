@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import Channel, Feedback, SimulationError, make_interval
 
+from .helpers import replay_in_event_order, scan_feedback
+
 
 def tx(channel, sid, a, b):
     return channel.begin_transmission(sid, make_interval(a, b), packet=None)
@@ -66,46 +68,51 @@ class TestOverlapResolution:
 class TestFeedbackOracle:
     def test_silence_when_nothing_recorded(self):
         ch = Channel()
-        assert not ch.feedback_has_activity(make_interval(0, 1))
+        assert ch.feedback_for(make_interval(0, 1)) is Feedback.SILENCE
 
     def test_activity_on_partial_overlap(self):
         ch = Channel()
         tx(ch, 1, 0, 2)
-        assert ch.feedback_has_activity(make_interval(1, 3))
+        assert ch.feedback_for(make_interval(1, 3)) is not Feedback.SILENCE
 
     def test_no_activity_for_touching_slot(self):
         ch = Channel()
         tx(ch, 1, 0, 2)
-        assert not ch.feedback_has_activity(make_interval(2, 3))
+        assert ch.feedback_for(make_interval(2, 3)) is Feedback.SILENCE
 
-    def test_successful_ending_within_basic(self):
+    def test_ack_when_success_ends_inside_slot(self):
         ch = Channel()
         t = tx(ch, 1, 0, 2)
-        found = ch.successful_ending_within(make_interval(1, 3))
-        assert found is t
+        assert ch.feedback_for(make_interval(1, 3)) is Feedback.ACK
+        assert t.successful
 
     def test_ack_at_exact_slot_end(self):
         ch = Channel()
         t = tx(ch, 1, 0, 2)
-        assert ch.successful_ending_within(make_interval(1, 2)) is t
+        assert ch.feedback_for(make_interval(1, 2)) is Feedback.ACK
+        assert t.successful
 
     def test_no_ack_for_collided_transmission(self):
         ch = Channel()
         tx(ch, 1, 0, 2)
         tx(ch, 2, 1, 3)
-        assert ch.successful_ending_within(make_interval(0, 4)) is None
-        assert ch.feedback_has_activity(make_interval(0, 4))
+        feedback = ch.feedback_for(make_interval(0, 4))
+        assert feedback is not Feedback.ACK
+        assert feedback is not Feedback.SILENCE
 
     def test_two_successes_in_one_long_slot(self):
-        # Back-to-back successes inside one long listening slot: the
-        # oracle reports the latest-ending one, and lists both.
+        # Back-to-back successes inside one long listening slot: one
+        # acknowledgment, the ACK mark sits at the latest-ending one,
+        # and both are finalized successes.
         ch = Channel()
         t1 = tx(ch, 1, 0, 1)
         t2 = tx(ch, 2, 1, 2)
         slot = make_interval(0, 3)
-        assert ch.successful_ending_within(slot) is t2
-        both = ch.successes_ending_within(slot)
-        assert len(both) == 2 and t1 in both and t2 in both
+        assert ch.feedback_for(slot) is Feedback.ACK
+        ack, _busy = ch.marks(slot.end)
+        assert ack == t2.interval.end
+        assert t1.successful and t2.successful
+        assert ch.finalized_successes(slot.end) == 2
 
     def test_count_successes_up_to(self):
         ch = Channel()
@@ -154,25 +161,34 @@ class TestPruning:
 
 
 class TestFeedbackFor:
-    """The fused single-pass oracle equals the three-call composition."""
-
-    def _expected(self, ch, slot):
-        if ch.successful_ending_within(slot) is not None:
-            return Feedback.ACK
-        if ch.feedback_has_activity(slot):
-            return Feedback.BUSY
-        return Feedback.SILENCE
+    """The two-mark oracle equals the brute-force scan of every record."""
 
     def test_matches_composed_oracle_on_mixed_history(self):
-        ch = Channel()
-        tx(ch, 1, 0, 1)                      # success
-        tx(ch, 2, 2, 4)                      # collides with next
-        tx(ch, 3, 3, 5)
-        tx(ch, 1, 6, Fraction(15, 2))        # success, rational end
-        for a, b in [(0, 1), (1, 2), (0, 4), (2, 3), (4, 5), (5, 6),
-                     (6, 8), (0, 8), (Fraction(13, 2), 7)]:
-            slot = make_interval(a, b)
-            assert ch.feedback_for(slot) is self._expected(ch, slot), (a, b)
+        transmissions = [
+            (1, 0, 1),                       # success
+            (2, 2, 4),                       # collides with next
+            (3, 3, 5),
+            (1, 6, Fraction(15, 2)),         # success, rational end
+        ]
+        slots = [make_interval(a, b) for a, b in [
+            (0, 1), (1, 2), (0, 4), (2, 3), (4, 5), (5, 6),
+            (6, 8), (0, 8), (Fraction(13, 2), 7)]]
+        for queries_first in (False, True):
+            ch = Channel()
+            records, feedback = replay_in_event_order(
+                ch, transmissions, slots, queries_first
+            )
+            triples = [
+                (r.interval.start, r.interval.end, r.successful)
+                for r in records
+            ]
+            for slot, got in zip(slots, feedback):
+                assert got is scan_feedback(triples, slot), (slot, queries_first)
+        assert feedback == [
+            Feedback.ACK, Feedback.SILENCE, Feedback.ACK, Feedback.BUSY,
+            Feedback.BUSY, Feedback.SILENCE, Feedback.ACK, Feedback.ACK,
+            Feedback.BUSY,
+        ]
 
     def test_ack_dominates_overlapping_collision(self):
         ch = Channel()
@@ -197,28 +213,62 @@ class TestSuccessTracker:
 
     def test_matches_count_successes_up_to(self):
         ch = Channel()
-        ch.start_success_tracking()
-        for k in range(6):
-            tx(ch, 1, 2 * k, 2 * k + 1)
         for moment in range(0, 13):
+            if moment % 2 == 0 and moment < 12:
+                tx(ch, 1, moment, moment + 1)
             assert ch.finalized_successes(Fraction(moment)) == \
                 ch.count_successes_up_to(Fraction(moment))
 
     def test_collisions_never_counted(self):
         ch = Channel()
-        ch.start_success_tracking()
         tx(ch, 1, 0, 2)
         tx(ch, 2, 1, 3)
         tx(ch, 3, 4, 5)
         assert ch.finalized_successes(Fraction(10)) == 1
-        assert ch.first_finalized_success_end == Fraction(5)
+        assert ch.first_success_end == Fraction(5)
 
     def test_survives_pruning(self):
         ch = Channel()
-        ch.start_success_tracking()
         for k in range(8):
             tx(ch, 1, 2 * k, 2 * k + 1)
         ch.prune_before(Fraction(9))
         tx(ch, 1, 20, 21)
         assert ch.finalized_successes(Fraction(30)) == 9
-        assert ch.first_finalized_success_end == Fraction(1)
+        assert ch.first_success_end == Fraction(1)
+
+
+class TestTimeOrder:
+    """Queries and recordings must come in time order (the contract)."""
+
+    def test_query_before_the_clock_rejected(self):
+        ch = Channel()
+        tx(ch, 1, 0, 2)
+        assert ch.feedback_for(make_interval(0, 3)) is Feedback.ACK
+        with pytest.raises(SimulationError, match="time order"):
+            ch.feedback_for(make_interval(0, 2))
+        with pytest.raises(SimulationError, match="time order"):
+            ch.finalized_successes(Fraction(1))
+
+    def test_query_before_a_recorded_start_rejected(self):
+        ch = Channel()
+        tx(ch, 1, 4, 5)
+        with pytest.raises(SimulationError, match="time order"):
+            ch.feedback_for(make_interval(1, 3))
+
+    def test_transmission_before_the_last_query_rejected(self):
+        ch = Channel()
+        tx(ch, 1, 0, 2)
+        ch.feedback_for(make_interval(1, 3))
+        with pytest.raises(SimulationError, match="time order"):
+            tx(ch, 2, 2, 4)
+
+    def test_repeated_queries_at_one_instant_allowed(self):
+        ch = Channel()
+        tx(ch, 1, 0, 2)
+        tx(ch, 2, 2, 3)
+        # Records starting at the query instant cannot reach a slot
+        # ending there, in either order.
+        assert ch.feedback_for(make_interval(1, 2)) is Feedback.ACK
+        tx(ch, 3, 2, 4)
+        assert ch.feedback_for(make_interval(Fraction(3, 2), 2)) is Feedback.ACK
+        assert ch.feedback_for(make_interval(2, 3)) is Feedback.BUSY

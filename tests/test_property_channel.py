@@ -5,7 +5,9 @@ Invariants straight from Section II:
 * success <=> no real-time overlap with any other transmission;
 * at most one *transmitter* can receive an ack for any instant in time
   (successful transmissions are pairwise disjoint);
-* feedback classification is exhaustive and exclusive.
+* feedback classification is exhaustive and exclusive;
+* queried in event order, ``Channel.feedback_for`` equals a brute-force
+  scan of every record.
 """
 
 from fractions import Fraction
@@ -13,7 +15,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Channel, make_interval
+from repro.core import Channel, Feedback, make_interval
+
+from .helpers import replay_in_event_order, scan_feedback
 
 # Exact rational intervals with bounded denominators, pre-sorted by start.
 _times = st.integers(min_value=0, max_value=60).map(lambda k: Fraction(k, 4))
@@ -74,22 +78,53 @@ def test_collision_count_matches_overlapped_records(items):
 @given(transmission_sets(), _times, _durations)
 @settings(max_examples=200, deadline=None)
 def test_feedback_classification_exhaustive(items, slot_start, slot_duration):
-    ch, records = build_channel(items)
     slot = make_interval(slot_start, slot_start + slot_duration)
-    has_activity = ch.feedback_has_activity(slot)
-    success = ch.successful_ending_within(slot)
-    if success is not None:
+    records, [feedback] = replay_in_event_order(Channel(), items, [slot])
+    has_activity = feedback is not Feedback.SILENCE
+    if feedback is Feedback.ACK:
         # An ack implies activity and a genuinely successful record
         # ending inside the slot.
         assert has_activity
-        assert success.successful
-        assert slot.start < success.interval.end <= slot.end
+        assert any(
+            record.successful and slot.start < record.interval.end <= slot.end
+            for record in records
+        )
     else:
         # No ack: any activity must be busy; otherwise silence means no
         # transmission overlaps at all.
         if not has_activity:
-            for _, a, b in records:
+            for _, a, b in items:
                 assert b <= slot.start or slot.end <= a
+
+
+@st.composite
+def slot_queries(draw, max_count=8):
+    count = draw(st.integers(min_value=1, max_value=max_count))
+    slots = []
+    for _ in range(count):
+        start = draw(_times)
+        slots.append(make_interval(start, start + draw(_durations)))
+    return slots
+
+
+@given(transmission_sets(), slot_queries())
+@settings(max_examples=300, deadline=None)
+def test_feedback_for_matches_brute_force_scan(items, slots):
+    """Replayed in event order (in both orders at equal instants), the
+    two-mark oracle answers every slot as a scan of every record would,
+    with success decided by brute-force pairwise overlap."""
+    triples = [
+        (a, b, not any(
+            oa < b and a < ob for other, oa, ob in items if other != sid
+        ))
+        for sid, a, b in items
+    ]
+    for queries_first in (False, True):
+        _, feedback = replay_in_event_order(
+            Channel(), items, slots, queries_first
+        )
+        for slot, got in zip(slots, feedback):
+            assert got is scan_feedback(triples, slot), (slot, queries_first)
 
 
 @given(transmission_sets(), st.integers(min_value=0, max_value=80))
