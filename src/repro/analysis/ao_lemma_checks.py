@@ -25,9 +25,10 @@ schedule/workload grid.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.errors import ConfigurationError
 from ..core.simulator import Simulator
@@ -140,23 +141,23 @@ def check_loaded_window_drain(
     within the following ``window`` of time must not exceed it by more
     than ``slack`` — i.e. above the threshold the backlog has no
     sustained upward drift.  (The threshold plays S's role; the window
-    must cover a subphase's worth of time.)
+    must cover a subphase's worth of time.)  ``backlog_series`` is
+    ``(time, backlog)`` samples in time order, as
+    :meth:`~repro.core.trace.Trace.backlog_series` returns them.
     """
     violations: List[AOLemmaViolation] = []
     window_length = as_time(window)
     samples = list(backlog_series)
+    times = [t for t, _ in samples]
+    backlogs = [b for _, b in samples]
     for index, (t, backlog) in enumerate(samples):
         if backlog <= load_threshold:
             continue
-        # Find the minimum backlog within (t, t + window].
-        best: Optional[int] = None
-        for t2, b2 in samples[index + 1 :]:
-            if t2 - t > window_length:
-                break
-            if best is None or b2 < best:
-                best = b2
-        if best is None:
+        # The later samples within (t, t + window].
+        stop = bisect_right(times, t + window_length, index + 1)
+        if stop == index + 1:
             continue  # ran off the end of the horizon
+        best = min(backlogs[index + 1 : stop])
         if best > backlog + slack:
             violations.append(
                 AOLemmaViolation(
