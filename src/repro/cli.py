@@ -1090,8 +1090,9 @@ def build_parser() -> argparse.ArgumentParser:
     bdiff_p.add_argument("new", help="candidate benchmarks/results directory")
     bdiff_p.add_argument("--tolerance", type=float, default=0.0,
                          metavar="REL",
-                         help="relative tolerance for numeric cells "
-                         "(0.25 = 25%%; default exact)")
+                         help="relative tolerance for float cells "
+                         "(0.25 = 25%%; default exact); integer, string "
+                         "and boolean cells always compare exactly")
     bdiff_p.set_defaults(handler=_cmd_bench_diff)
     bperf_p = bench_sub.add_parser(
         "perf",

@@ -69,20 +69,19 @@ def _cell_text(value: Any) -> str:
     return json.dumps(value) if not isinstance(value, str) else value
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _cells_match(old_cell: Any, new_cell: Any, tolerance: float) -> bool:
-    """Exact equality, or numeric cells within relative ``tolerance``.
+    """Exact equality, or float cells within relative ``tolerance``.
 
-    Non-numeric cells (strings, bools, nulls) always compare exactly —
-    tolerance is for measured quantities, not identities.  An old value
-    of exactly 0 admits no relative error, so only ``new == 0`` matches.
+    Every other cell (ints, strings, bools, nulls) compares exactly —
+    tolerance is for measured quantities, which reports write as
+    floats, not for identities such as event counts.  An old value of
+    exactly 0 admits no relative error, so only ``new == 0`` matches.
     """
     if old_cell == new_cell:
         return True
-    if tolerance > 0 and _is_number(old_cell) and _is_number(new_cell):
+    if tolerance > 0 and isinstance(old_cell, float) and isinstance(
+        new_cell, float
+    ):
         if old_cell == 0:
             return False
         return abs(new_cell - old_cell) / abs(old_cell) <= tolerance
@@ -202,12 +201,12 @@ def diff_results(
 ) -> DiffReport:
     """Compare two ``benchmarks/results`` directories report-by-report.
 
-    ``tolerance`` relaxes the comparison for *numeric* table cells: a
+    ``tolerance`` relaxes the comparison for *float* table cells: a
     new value within ``tolerance * |old|`` (relative) of the old one is
     not drift.  The default ``0.0`` keeps the historical exact-identity
-    semantics; perf-smoke CI passes e.g. ``0.25`` so throughput numbers
-    may wobble while structural cells (names, counts, booleans) stay
-    byte-exact.
+    semantics; perf-smoke CI passes e.g. ``0.25`` so measured ratios
+    may wobble while identity cells (names, integer counts, booleans)
+    stay byte-exact.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")

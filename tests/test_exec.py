@@ -327,10 +327,21 @@ class TestDiffTolerance:
     """Relative tolerance for numeric cells (the perf-smoke contract)."""
 
     def test_within_tolerance_is_clean(self, tmp_path):
-        write_report(tmp_path / "old", "perf", [[2, 100], [4, 200]])
-        write_report(tmp_path / "new", "perf", [[2, 110], [4, 180]])
+        write_report(tmp_path / "old", "perf", [[2, 100.0], [4, 200.0]])
+        write_report(tmp_path / "new", "perf", [[2, 110.0], [4, 180.0]])
         assert diff_results(tmp_path / "old", tmp_path / "new",
                             tolerance=0.25).clean
+
+    def test_integer_cells_stay_exact(self, tmp_path):
+        # Event counts and sizes are identities: a 10% drift fails at
+        # any tolerance, while the float beside it may wobble.
+        write_report(tmp_path / "old", "perf", [[100, 3.0]])
+        write_report(tmp_path / "new", "perf", [[110, 3.3]])
+        report = diff_results(tmp_path / "old", tmp_path / "new",
+                              tolerance=0.25)
+        assert not report.clean
+        assert report.entries[0].drift_count == 1
+        assert "100 -> 110" in "\n".join(report.render())
 
     def test_beyond_tolerance_fails(self, tmp_path):
         write_report(tmp_path / "old", "perf", [[2, 100]])
@@ -368,8 +379,8 @@ class TestDiffTolerance:
     def test_cli_tolerance_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        write_report(tmp_path / "old", "perf", [[2, 100]])
-        write_report(tmp_path / "new", "perf", [[2, 110]])
+        write_report(tmp_path / "old", "perf", [[2, 100.0]])
+        write_report(tmp_path / "new", "perf", [[2, 110.0]])
         assert main(["bench", "diff", str(tmp_path / "old"),
                      str(tmp_path / "new")]) == 1
         capsys.readouterr()
