@@ -22,14 +22,24 @@ from .reporting import RESULTS_DIR
 MIN_SPEEDUP = 1.5
 
 
+def _table_with(document, column):
+    """The one report table with ``column`` among its headers."""
+    (table,) = [t for t in document["tables"] if column in t["headers"]]
+    return table
+
+
 def test_perf_core(benchmark):
     document = benchmark.pedantic(run_perf, rounds=1, iterations=1)
     write_report(document, RESULTS_DIR)
 
-    case_table, speedup_table = document["tables"]
+    case_table = _table_with(document, "D")
+    speedup_table = _table_with(document, "speedup")
+    fleet_table = _table_with(document, "engines")
     assert case_table["headers"][-1] == "parity"
     assert all(row[-1] == "ok" for row in case_table["rows"])
     assert speedup_table["rows"][0][0] == "geomean"
+    parity = fleet_table["headers"].index("parity")
+    assert all(row[parity] == "ok" for row in fleet_table["rows"])
     for name, cell in document["meta"]["throughput"].items():
         assert cell["speedup"] >= MIN_SPEEDUP, (
             f"{name}: lattice speedup {cell['speedup']}x below "
