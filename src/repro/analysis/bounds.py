@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ..core.errors import ConfigurationError
 from ..core.timebase import TimeLike, as_time
@@ -47,16 +48,26 @@ def _check_rho(rho: TimeLike) -> Fraction:
     return rate
 
 
+#: Memoises the per-``R`` slot counts: every station of a fleet asks for
+#: the same few, and each costs several Fraction operations.  Keyed by
+#: argument type too, so ``True`` or a float never reuses the entry of an
+#: equal int or Fraction (``as_time`` treats those differently); bounded,
+#: as one process may see many ``R``.
+_per_r = lru_cache(maxsize=256, typed=True)
+
+
 # ----------------------------------------------------------------------
 # ABS / SST (Section III)
 # ----------------------------------------------------------------------
 
+@_per_r
 def abs_listen_threshold_bit0(max_slot_length: TimeLike) -> int:
     """Box (3) of Fig. 3: a bit-0 station listens ``3R`` slots."""
     upper = _check_r(max_slot_length)
     return _ceil(3 * upper)
 
 
+@_per_r
 def abs_listen_threshold_bit1(max_slot_length: TimeLike) -> int:
     """Box (4) of Fig. 3: a bit-1 station listens ``4R^2 + 3R`` slots."""
     upper = _check_r(max_slot_length)
@@ -127,6 +138,7 @@ def ao_election_slots(n: int, max_slot_length: TimeLike) -> int:
     return abs_slot_upper_bound(n, max_slot_length)
 
 
+@_per_r
 def ao_sync_silence_threshold(max_slot_length: TimeLike) -> int:
     """AO-ARRoW's ``threshold``: silent slots proving no election is live.
 
@@ -140,6 +152,7 @@ def ao_sync_silence_threshold(max_slot_length: TimeLike) -> int:
     return _ceil(upper * contender_slots) + 2
 
 
+@_per_r
 def ao_sync_extra_wait(max_slot_length: TimeLike) -> int:
     """Slots a newly eligible station waits before its sync signal.
 
@@ -214,6 +227,7 @@ def ao_queue_bound_L(
 # CA-ARRoW (Section VI)
 # ----------------------------------------------------------------------
 
+@_per_r
 def ca_gap_slots(max_slot_length: TimeLike) -> int:
     """CA-ARRoW's inter-turn gap: the successor listens ``2R`` slots."""
     upper = _check_r(max_slot_length)

@@ -1,6 +1,7 @@
 """Core substrate: exact time, channel model, stations, simulator, traces."""
 
 from .channel import Channel, ChannelStats, Transmission
+from .collector import collector_paused
 from .errors import (
     AdmissibilityError,
     AsyncMacError,
@@ -76,6 +77,7 @@ __all__ = [
     "Transmission",
     "as_time",
     "check_slot_length",
+    "collector_paused",
     "declared_lattice_denominator",
     "execution_signature",
     "make_interval",

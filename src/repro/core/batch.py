@@ -93,6 +93,7 @@ from ..analysis.bounds import (
     abs_listen_threshold_bit0,
     abs_listen_threshold_bit1,
 )
+from .collector import collector_paused
 from .errors import ConfigurationError, ProtocolError, SimulationError
 from .station import (
     LISTEN,
@@ -101,7 +102,7 @@ from .station import (
     AlwaysListen,
     AlwaysTransmit,
 )
-from .timebase import Interval, as_time
+from .timebase import Interval
 from .simulator import _PRUNE_EVERY
 
 #: Action codes used inside the kernel (``int8``).
@@ -309,8 +310,8 @@ class AlgorithmProgram:
     constants: Tuple[Field, ...] = ()
 
     def __init__(self, kernel: "BatchKernel") -> None:
-        self.kernel = kernel
         self.algos = kernel.algos
+        self.sids = kernel.sids
 
     @classmethod
     def check(cls, fleet: Sequence[object]) -> Optional[str]:
@@ -352,7 +353,9 @@ class ScheduleProgram:
     """
 
     def __init__(self, kernel: "BatchKernel", adversary) -> None:
-        self.kernel = kernel
+        self.tb = kernel.tb
+        self.max_dur = kernel.max_dur
+        self.sids_list = kernel.sids_list
         self.adversary = adversary
 
     @classmethod
@@ -367,9 +370,7 @@ class ScheduleProgram:
 
     def _ticks(self, public_length) -> int:
         """Convert one declared public length to validated ticks."""
-        return int(
-            self.kernel.tb.check_slot_length(public_length, self.kernel.max_dur)
-        )
+        return int(self.tb.check_slot_length(public_length, self.max_dur))
 
     def load(self) -> None:
         raise NotImplementedError
@@ -429,7 +430,7 @@ class NaiveTDMAProgram(AlgorithmProgram):
     constants = (("n", "n_stations", "int64"),)
 
     def step(self, m, fb, q, new_index):
-        mine = new_index % self.n[m] == self.kernel.sids[m] - 1
+        mine = new_index % self.n[m] == self.sids[m] - 1
         return np.where(mine & (q > 0), _A_TX_PKT, _A_LISTEN).astype(np.int8)
 
 
@@ -462,7 +463,7 @@ class RRWProgram(AlgorithmProgram):
         turn = np.where(idle & silent, turn % self.n[m] + 1, turn)
         # _holder_action for idle stations only: a holder finishing its
         # burst (ack, empty queue) listens without re-checking the turn.
-        take = idle & (turn == self.kernel.sids[m]) & (q > 0)
+        take = idle & (turn == self.sids[m]) & (q > 0)
         self.turns_taken[m] += take
 
         transmitting = burst_more | retry | take
@@ -538,7 +539,7 @@ class MBTFLikeProgram(AlgorithmProgram):
         new_heard[hear] = True
         new_turn[advance] = turn[advance] % self.n[m][advance] + 1
         new_heard[advance] = False
-        my_turn = advance & (new_turn == self.kernel.sids[m])
+        my_turn = advance & (new_turn == self.sids[m])
         new_state[my_turn] = 1
 
         self.state[m] = new_state
@@ -590,7 +591,7 @@ class NestedAbsCoreProgram(AbsCoreProgram):
     it on every exit.  So the :data:`_CORE_FIELDS` arrays are gathered
     from the electing members only (zero elsewhere), and :meth:`store`
     rebuilds the cores from the arrays alone.  The listening thresholds
-    ``t0``/``t1`` are computed once per distinct ``max_slot_length``.
+    ``t0``/``t1`` come from the bounds' per-``R`` memo.
     """
 
     #: The outer ``state`` code of ``election``.
@@ -609,12 +610,12 @@ class NestedAbsCoreProgram(AbsCoreProgram):
             array[live] = values
             setattr(self, name, array)
         uppers = [algo.max_slot_length for algo in algos]
-        t0, t1 = {}, {}
-        for upper in set(uppers):
-            t0[upper] = abs_listen_threshold_bit0(as_time(upper))
-            t1[upper] = abs_listen_threshold_bit1(as_time(upper))
-        self.t0 = np.fromiter(map(t0.__getitem__, uppers), np.int64, len(uppers))
-        self.t1 = np.fromiter(map(t1.__getitem__, uppers), np.int64, len(uppers))
+        self.t0 = np.fromiter(
+            map(abs_listen_threshold_bit0, uppers), np.int64, len(uppers)
+        )
+        self.t1 = np.fromiter(
+            map(abs_listen_threshold_bit1, uppers), np.int64, len(uppers)
+        )
 
     def store(self) -> None:
         super().store()
@@ -673,7 +674,7 @@ class KSelectionProgram(NestedAbsCoreProgram):
         wins = self.wins[m]
         rank = self.rank[m]
         saw = self.saw_ack[m]
-        sids = self.kernel.sids[m]
+        sids = self.sids[m]
         sil = fb == _F_SILENCE
         busy = fb == _F_BUSY
         acked = fb == _F_ACK
@@ -805,8 +806,8 @@ class PerStationFixedProgram(ScheduleProgram):
 
     def load(self) -> None:
         table = self.adversary.lengths
-        ticks = np.empty(len(self.kernel.sids_list), dtype=np.int64)
-        for i, sid in enumerate(self.kernel.sids_list):
+        ticks = np.empty(len(self.sids_list), dtype=np.int64)
+        for i, sid in enumerate(self.sids_list):
             if sid not in table:
                 raise ConfigurationError(
                     f"PerStationFixed has no length for station {sid}"
@@ -826,7 +827,7 @@ class _PatternSchedule(ScheduleProgram):
         raise NotImplementedError
 
     def load(self) -> None:
-        sids = self.kernel.sids_list
+        sids = self.sids_list
         patterns = [self._pattern_for(sid) for sid in sids]
         self.plen = np.array([len(p) for p in patterns], dtype=np.int64)
         width = int(self.plen.max())
@@ -878,8 +879,8 @@ class TableDrivenProgram(ScheduleProgram):
         table = self.adversary.table
         self.default_ticks = self._ticks(self.adversary.default)
         self.rows: List[tuple] = []
-        self.row_len = np.zeros(len(self.kernel.sids_list), dtype=np.int64)
-        for i, sid in enumerate(self.kernel.sids_list):
+        self.row_len = np.zeros(len(self.sids_list), dtype=np.int64)
+        for i, sid in enumerate(self.sids_list):
             row = tuple(self._ticks(x) for x in table.get(sid, ()))
             self.rows.append(row)
             self.row_len[i] = len(row)
@@ -909,7 +910,7 @@ class RandomUniformProgram(ScheduleProgram):
 
     def load(self) -> None:
         adversary = self.adversary
-        lattice_d = self.kernel.tb.denominator
+        lattice_d = self.tb.denominator
         self.steps = adversary._steps
         # 1 + k/den in ticks: D + k * (D // den); D is an lcm multiple
         # of den by lattice construction, so the division is exact.
@@ -943,7 +944,12 @@ class BatchKernel:
     """
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        #: The simulator, bound by ``Simulator._batch_run`` only while a
+        #: run is in progress.  Between runs nothing in the kernel or its
+        #: programs refers back to it, so a dropped simulator is freed at
+        #: once (not left, with its whole fleet, as one reference cycle
+        #: for the cyclic collector), and a deep copy binds its copy.
+        self.sim = None
         self.tb = sim.timebase
         self.max_dur = sim._max_slot_internal
         self.sids_list: List[int] = list(sim.station_ids)
@@ -1026,7 +1032,8 @@ class BatchKernel:
         check_success: bool,
     ) -> None:
         sim = self.sim
-        self._load()
+        with collector_paused():
+            self._load()
         try:
             while True:
                 if (
@@ -1067,7 +1074,8 @@ class BatchKernel:
                 if stop_after:
                     return
         finally:
-            self._store()
+            with collector_paused():
+                self._store()
 
     def _process_tick(self, tick: int, m) -> None:
         sim = self.sim

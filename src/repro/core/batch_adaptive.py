@@ -114,7 +114,7 @@ class ABSLeaderElectionProgram(AbsCoreProgram):
         phase = self.phase[m]
         silent = self.silent[m]
         threshold = self.threshold[m]
-        sids = self.kernel.sids[m]
+        sids = self.sids[m]
         sil = fb == _F_SILENCE
         busy = fb == _F_BUSY
         acked = fb == _F_ACK
@@ -208,7 +208,7 @@ class AOArrowProgram(NestedAbsCoreProgram):
         aphase = self.aphase[m].copy()
         asil = self.asil[m].copy()
         athr = self.athr[m].copy()
-        sids = self.kernel.sids[m]
+        sids = self.sids[m]
         sil = fb == _F_SILENCE
         busy = fb == _F_BUSY
         acked = fb == _F_ACK
@@ -412,7 +412,7 @@ class CAArrowProgram(AlgorithmProgram):
         advance |= waiting & sil & self.heard[m]
         turn[advance] = turn[advance] % self.n[m][advance] + 1
         heard[advance] = False
-        to_gap = advance & (turn == self.kernel.sids[m])
+        to_gap = advance & (turn == self.sids[m])
         new_st[to_gap] = 1
         gap_count[to_gap] = 0
         new_st[advance & ~to_gap] = 0
@@ -478,7 +478,7 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
         lrounds = self.ladder_rounds[m].copy()
         claimflag = self.claimflag[m].copy()
         n = self.n[m]
-        sids = self.kernel.sids[m]
+        sids = self.sids[m]
         sil = fb == _F_SILENCE
         busy = fb == _F_BUSY
         acked = fb == _F_ACK

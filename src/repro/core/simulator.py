@@ -47,6 +47,7 @@ from ..obs.probes import (
     SlotEndEvent,
 )
 from .channel import Channel
+from .collector import collector_paused
 from .errors import ConfigurationError, ProtocolError, SimulationError
 from .feedback import Feedback
 from .packet import Packet, PacketQueue
@@ -603,20 +604,21 @@ class Simulator:
         """Open every station's first slot at time 0."""
         self._started = True
         zero = self._timebase.zero
-        self._pump_arrivals(zero)
-        for sid in self._station_ids:
-            runtime = self.stations[sid]
-            self._deliver_pending(runtime, zero)
-            ctx = SlotContext(
-                feedback=None, queue_size=len(runtime.queue), slot_index=0
-            )
-            if self.profiler is None:
-                action = runtime.algorithm.first_action(ctx)
-            else:
-                action = self._timed_algorithm_step(
-                    runtime.algorithm.first_action, ctx
+        with collector_paused():
+            self._pump_arrivals(zero)
+            for sid in self._station_ids:
+                runtime = self.stations[sid]
+                self._deliver_pending(runtime, zero)
+                ctx = SlotContext(
+                    feedback=None, queue_size=len(runtime.queue), slot_index=0
                 )
-            self._begin_slot(runtime, zero, action)
+                if self.profiler is None:
+                    action = runtime.algorithm.first_action(ctx)
+                else:
+                    action = self._timed_algorithm_step(
+                        runtime.algorithm.first_action, ctx
+                    )
+                self._begin_slot(runtime, zero, action)
 
     def _timed_algorithm_step(self, step: Callable[[SlotContext], Action], ctx: SlotContext) -> Action:
         """Run one automaton step, attributing its wall time when profiling."""
@@ -861,7 +863,11 @@ class Simulator:
             from .batch import BatchKernel
 
             kernel = self._batch_kernel = BatchKernel(self)
-        kernel.run(limit_internal, limit_time, max_events, check_success)
+        kernel.sim = self  # bound for this run only (see BatchKernel.sim)
+        try:
+            kernel.run(limit_internal, limit_time, max_events, check_success)
+        finally:
+            kernel.sim = None
 
     def slots_elapsed(self, station_id: int) -> int:
         """Completed slots of one station (the paper's cost measure for SST)."""

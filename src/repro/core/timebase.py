@@ -239,7 +239,7 @@ class TickLattice:
     is_lattice = True
     zero = 0
 
-    __slots__ = ("denominator", "_memo_ticks", "_memo_time", "_length_memo")
+    __slots__ = ("denominator", "_memo_ticks", "_memo_time")
 
     def __init__(self, denominator: int) -> None:
         if (
@@ -255,9 +255,6 @@ class TickLattice:
         # same instant several times in a row (trace + probes + packet).
         self._memo_ticks: Optional[int] = None
         self._memo_time = ZERO
-        # Slot lengths repeat from tiny per-adversary sets; cache their
-        # tick conversion (Fraction keys only — exact hash semantics).
-        self._length_memo: dict = {}
 
     def describe(self) -> str:
         return f"lattice(1/{self.denominator})"
@@ -305,23 +302,13 @@ class TickLattice:
         public values) but runs on integers.  A length off the lattice
         raises :class:`OffLatticeError` — the caller decides whether
         that is a declaration bug or grounds for a Fraction fallback.
+        One integer ``divmod`` converts a Fraction; it is cheaper than
+        hashing the Fraction to look a memoised conversion up.
         """
         if type(length) is int:
             ticks = length * self.denominator
-        elif type(length) is Fraction:
-            ticks = self._length_memo.get(length)
-            if ticks is None:
-                ticks, remainder = divmod(
-                    length.numerator * self.denominator, length.denominator
-                )
-                if remainder:
-                    raise OffLatticeError(
-                        f"slot length {length} is off the "
-                        f"1/{self.denominator} time lattice"
-                    )
-                self._length_memo[length] = ticks
         else:
-            exact = as_time(length)
+            exact = length if type(length) is Fraction else as_time(length)
             ticks, remainder = divmod(
                 exact.numerator * self.denominator, exact.denominator
             )

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..core.collector import collector_paused
 from ..core.errors import ConfigurationError
 from ..core.simulator import Simulator
 from ..core.timebase import TimeLike, as_time
@@ -382,19 +383,20 @@ class ScenarioSpec:
         bit-for-bit identical either way, so they never participate in
         serialization or cache keys.
         """
-        return Simulator(
-            self.build_fleet(),
-            self.build_schedule(),
-            max_slot_length=self.max_slot,
-            arrival_source=self.build_source(),
-            initial_packets=initial_packets,
-            trace=trace,
-            keep_channel_history=keep_channel_history,
-            probes=probes,
-            profiler=profiler,
-            timebase=timebase,
-            engine=engine,
-        )
+        with collector_paused():
+            return Simulator(
+                self.build_fleet(),
+                self.build_schedule(),
+                max_slot_length=self.max_slot,
+                arrival_source=self.build_source(),
+                initial_packets=initial_packets,
+                trace=trace,
+                keep_channel_history=keep_channel_history,
+                probes=probes,
+                profiler=profiler,
+                timebase=timebase,
+                engine=engine,
+            )
 
     def to_cell(
         self,

@@ -27,7 +27,7 @@ from math import lcm
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from ..core.errors import ConfigurationError
-from ..core.timebase import Time, TimeLike, as_time
+from ..core.timebase import ONE, Time, TimeLike, as_time
 
 
 class SlotAdversary:
@@ -56,7 +56,7 @@ class Synchronous(SlotAdversary):
     """
 
     def next_slot_length(self, sim, station_id: int, slot_index: int) -> Fraction:
-        return Fraction(1)
+        return ONE
 
     def lattice_denominator(self) -> int:
         return 1
@@ -166,7 +166,7 @@ class RandomUniform(SlotAdversary):
 
     def next_slot_length(self, sim, station_id: int, slot_index: int) -> Fraction:
         k = self._rng.randint(0, self._steps)
-        return 1 + Fraction(k, self._denominator)
+        return Fraction(self._denominator + k, self._denominator)
 
     def lattice_denominator(self) -> int:
         return self._denominator

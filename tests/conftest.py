@@ -1,5 +1,7 @@
 """Suite-wide fixtures."""
 
+import gc
+
 import pytest
 
 
@@ -13,3 +15,18 @@ def _isolated_history(tmp_path, monkeypatch):
     recorded use this same path via :func:`repro.obs.default_db_path`.
     """
     monkeypatch.setenv("REPRO_HISTORY_DB", str(tmp_path / "history.db"))
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_enabled():
+    """Fail any test after which the cyclic garbage collector is off.
+
+    Fleet set-up pauses the collector (``repro.core.collector_paused``);
+    a pause leaked on an error path would leave it off for the rest of
+    the process.  The collector is switched back on either way, so only
+    the test that leaked it fails.
+    """
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the test left the cyclic garbage collector disabled"

@@ -155,16 +155,14 @@ class TestTickLattice:
         tb = TickLattice(4)
         assert tb.check_slot_length(1, max_internal=8) == 4
         assert tb.check_slot_length(Fraction(3, 2), max_internal=8) == 6
-        # Memoized second lookup returns the same ticks.
-        assert tb.check_slot_length(Fraction(3, 2), max_internal=8) == 6
+        assert tb.check_slot_length("3/2", max_internal=8) == 6
         with pytest.raises(ConfigurationError):
             tb.check_slot_length(Fraction(3, 2), max_internal=5)
         with pytest.raises(OffLatticeError):
             tb.check_slot_length(Fraction(1, 3), max_internal=8)
 
-    def test_memo_is_exempt_from_range_but_not_validity(self):
-        # The same length must pass one R bound and fail a tighter one
-        # even after being memoized by the first call.
+    def test_range_is_checked_on_every_call(self):
+        # The same length must pass one R bound and fail a tighter one.
         tb = TickLattice(2)
         assert tb.check_slot_length(Fraction(2), max_internal=4) == 4
         with pytest.raises(ConfigurationError):
