@@ -42,6 +42,7 @@ Entry points: ``repro bench perf`` (CLI) and
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import sys
@@ -267,38 +268,43 @@ def _run_case(
 
 
 def _run_fleet(case: PerfCase, engine: str, horizon: int):
-    """One timed fleet run on one engine; construction excluded.
+    """One fleet run on one engine, its set-up timed apart.
 
-    ``sim.run(until_time=0)`` forces station setup (every station's
-    first slot) before the clock starts: that cost is identical for
-    both engines and, at n=1e5, would otherwise swamp the short
-    horizons these cases use.  The timed section still includes the
-    batch kernel's array load/store — that is a real per-run cost of
-    the fast path and the reported events/sec must own it.
+    Set-up is construction plus ``sim.run(until_time=0)``, which opens
+    every station's first slot (and, on the batch engine, loads and
+    stores the kernel's arrays once).  At n=1e5 it would swamp the
+    short horizons these cases use, so the run is timed from there;
+    the run still includes the batch kernel's array load/store — that
+    is a real per-run cost of the fast path and the reported
+    events/sec must own it.  Returns ``(signature, events, run
+    seconds, engine, set-up seconds)``.
     """
     spec = _case_spec(case)
+    began = perf_counter()
     sim = spec.build(engine=engine)
     sim.run(until_time=0)
+    # Set-up runs with the cyclic collector paused, so the young
+    # collection over what it allocated falls due at the next
+    # allocation; taking it here charges it to set-up, not to the run.
+    gc.collect(0)
+    setup = perf_counter() - began
     began = perf_counter()
     sim.run(until_time=horizon)
     wall = perf_counter() - began
-    return execution_signature(sim), sim.events_processed, wall, sim.engine
+    return execution_signature(sim), sim.events_processed, wall, sim.engine, setup
 
 
 def _run_fleet_case(case: PerfCase, engine: str, quick: bool, repeats: int):
-    """Best-of-``repeats`` timing for one fleet case on one engine."""
+    """Best-of-``repeats`` run and set-up timings for one fleet case on
+    one engine (each the fastest of its own repeats)."""
     horizon = case.quick_horizon if quick else case.horizon
-    best = None
-    for _ in range(max(repeats, 1)):
-        sample = _run_fleet(case, engine, horizon)
-        if best is None or sample[2] < best[2]:
-            best = sample
-        if sample[0] != best[0]:
-            raise RuntimeError(
-                f"{case.name}: non-deterministic repeat on the "
-                f"{engine} engine"
-            )
-    return best
+    samples = [_run_fleet(case, engine, horizon) for _ in range(max(repeats, 1))]
+    if any(sample[0] != samples[0][0] for sample in samples):
+        raise RuntimeError(
+            f"{case.name}: non-deterministic repeat on the {engine} engine"
+        )
+    best = min(samples, key=lambda sample: sample[2])
+    return (*best[:4], min(sample[4] for sample in samples))
 
 
 def _measure_fleet(
@@ -309,10 +315,10 @@ def _measure_fleet(
     measured: List[Dict[str, Any]] = []
     for case in suite:
         auto = _case_spec(case).build().engine
-        obj_fp, events, obj_s, obj_engine = _run_fleet_case(
+        obj_fp, events, obj_s, obj_engine, obj_setup = _run_fleet_case(
             case, "object", quick, repeats
         )
-        bat_fp, bat_events, bat_s, bat_engine = _run_fleet_case(
+        bat_fp, bat_events, bat_s, bat_engine, bat_setup = _run_fleet_case(
             case, "batch", quick, repeats
         )
         if obj_fp != bat_fp or events != bat_events:
@@ -343,6 +349,8 @@ def _measure_fleet(
                 "auto": auto,
                 "object_s": obj_s,
                 "batch_s": bat_s,
+                "object_setup_s": obj_setup,
+                "batch_setup_s": bat_setup,
                 "object_evps": round(events / obj_s),
                 "batch_evps": round(events / bat_s),
                 "speedup": speedup,
@@ -401,8 +409,6 @@ def _measure_exec_overhead(quick: bool, repeats: int) -> Dict[str, Any]:
     # spike that slows the engine section also shows in a neighbouring
     # raw section, while a sustained regression inflates every repeat
     # and still trips the gate.  Best repeat wins.
-    import gc
-
     gc_was_enabled = gc.isenabled()
 
     def timed_raw():
@@ -628,11 +634,15 @@ def run_perf(
                 }
                 for row in measured
             },
+            # Set-up (build + first slot) is timed apart from the run;
+            # the ev/s columns leave it out.
             "fleet": {
                 row["case"]: {
                     "object_ev/s": row["object_evps"],
                     "batch_ev/s": row["batch_evps"],
                     "speedup": row["speedup"],
+                    "object_setup_s": round(row["object_setup_s"], 4),
+                    "batch_setup_s": round(row["batch_setup_s"], 4),
                 }
                 for row in fleet
             },
@@ -691,10 +701,11 @@ def render_report(document: Dict[str, Any]) -> List[str]:
             _render_table(
                 {
                     "headers": ["case", "object_ev/s", "batch_ev/s",
-                                "speedup"],
+                                "speedup", "object_setup_s", "batch_setup_s"],
                     "rows": [
                         [case, cell["object_ev/s"], cell["batch_ev/s"],
-                         cell["speedup"]]
+                         cell["speedup"], cell["object_setup_s"],
+                         cell["batch_setup_s"]]
                         for case, cell in fleet.items()
                     ],
                 }
