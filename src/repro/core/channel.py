@@ -266,7 +266,8 @@ class Channel:
         if probes is not None and probes.collision:
             event = CollisionEvent(
                 station_id=transmission.station_id,
-                interval=self._timebase.interval_public(transmission.interval),
+                internal_interval=transmission.interval,
+                timebase=self._timebase,
                 is_control=transmission.is_control,
             )
             for callback in probes.collision:

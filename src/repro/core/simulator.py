@@ -708,16 +708,19 @@ class Simulator:
         carried = runtime.aboard_packet
 
         if probes is not None and probes.slot_end and record_action is not None:
+            # Positional, in field order: matching ten keywords costs
+            # about as much as the rest of the construction.
             event = SlotEndEvent(
-                station_id=sid,
-                slot_index=runtime.slot_index,
-                interval=timebase.interval_public(record_interval),
-                action=record_action,
-                feedback=feedback,
-                queue_size=len(runtime.queue),
-                delivered=delivered,
-                backlog=self._total_backlog,
-                carried_packet_id=carried.packet_id if carried else None,
+                sid,
+                runtime.slot_index,
+                record_interval,
+                timebase,
+                record_action,
+                feedback,
+                len(runtime.queue),
+                delivered,
+                self._total_backlog,
+                carried.packet_id if carried else None,
             )
             for callback in probes.slot_end:
                 callback(event)

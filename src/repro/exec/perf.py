@@ -33,7 +33,10 @@ Two tables:
 
 Per-case speedups and absolute events/sec (plus wall seconds,
 repeats, the quick flag) ride in the identity-exempt ``meta`` block:
-reported, rendered for humans, never failed on.
+reported, rendered for humans, never failed on.  So do two probes that
+CI's perf-smoke job gates: ``exec_overhead`` (the exec engine's
+bookkeeping on the serial path) and ``observe_overhead`` (what the
+``--metrics`` pack and the streamed JSONL artifact add to a run).
 
 Entry points: ``repro bench perf`` (CLI) and
 ``benchmarks/bench_perf_core.py`` (pytest-benchmark wrapper) both call
@@ -43,6 +46,7 @@ Entry points: ``repro bench perf`` (CLI) and
 from __future__ import annotations
 
 import gc
+import io
 import json
 import pathlib
 import sys
@@ -50,6 +54,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.collector import collector_paused
 from ..core.simulator import execution_signature
 
 __all__ = [
@@ -58,6 +63,7 @@ __all__ = [
     "FLEET_CASES",
     "FLEET_WIN_MIN",
     "NARROW_WIN_MIN",
+    "OBSERVE_CASES",
     "PerfCase",
     "geometric_mean_speedup",
     "run_perf",
@@ -86,6 +92,7 @@ class PerfCase:
     max_slot: str = "2"
     rho: Optional[str] = "1/2"
     seed: int = 0
+    burst: int = 1
     horizon: int = 2500
     quick_horizon: int = 600
     kind: str = "dynamic"  # "dynamic" | "sst"
@@ -190,6 +197,21 @@ FLEET_CASES: Tuple[PerfCase, ...] = (
 )
 
 
+#: The runs of the ``observe_overhead`` probe: four bundled scenarios
+#: (``scenarios/*.json``) at a quarter of their horizon, the length
+#: perfbench's ``serve-stream`` workload streams them at.
+OBSERVE_CASES: Tuple[PerfCase, ...] = (
+    PerfCase(name="rrw_sync", algorithm="rrw", n=4, max_slot="1",
+             schedule="sync", horizon=1250, quick_horizon=400),
+    PerfCase(name="ca_arrow_worst", algorithm="ca-arrow", n=4,
+             horizon=1250, quick_horizon=400),
+    PerfCase(name="aloha_random", algorithm="aloha", n=4, seed=3,
+             schedule="random", horizon=500, quick_horizon=160),
+    PerfCase(name="ao_arrow_worst", algorithm="ao-arrow", n=4, burst=3,
+             horizon=1250, quick_horizon=400),
+)
+
+
 def _case_spec(case: PerfCase):
     from ..scenarios import ScenarioSpec
 
@@ -199,9 +221,25 @@ def _case_spec(case: PerfCase):
         max_slot=case.max_slot,
         schedule=case.schedule,
         rho=case.rho,
+        burst=case.burst,
         seed=case.seed,
         horizon=max(case.horizon, 1),
     )
+
+
+def _timed(section):
+    """``(section(), seconds)``, timed with the cyclic collector paused.
+
+    The collector runs first, so garbage left by earlier work does not
+    fall due inside the section, and the pause restores whatever state
+    the collector was in.
+    """
+    gc.collect()
+    with collector_paused():
+        began = perf_counter()
+        value = section()
+        elapsed = perf_counter() - began
+    return value, elapsed
 
 
 def _run_dynamic(case: PerfCase, timebase: str, horizon: int):
@@ -401,54 +439,122 @@ def _measure_exec_overhead(quick: bool, repeats: int) -> Dict[str, Any]:
     # Noise defenses, because the gate is one-sided (fail only when
     # overhead > 5%) while shared runners jitter far more than the true
     # cost (~0.1%).  GC pauses (the sims allocate heavily) are
-    # milliseconds — enough to masquerade as bookkeeping — so GC is
-    # collected before and disabled during each timed section.  Machine
-    # speed also drifts *between* sections (frequency scaling, noisy
-    # neighbours), so each repeat times raw/engine/raw back to back and
-    # compares the engine against the *slower* raw sandwich half: a
-    # spike that slows the engine section also shows in a neighbouring
-    # raw section, while a sustained regression inflates every repeat
-    # and still trips the gate.  Best repeat wins.
-    gc_was_enabled = gc.isenabled()
+    # milliseconds — enough to masquerade as bookkeeping — so each
+    # section runs under :func:`_timed`.  Machine speed also drifts
+    # *between* sections (frequency scaling, noisy neighbours), so each
+    # repeat times raw/engine/raw back to back and compares the engine
+    # against the *slower* raw sandwich half: a spike that slows the
+    # engine section also shows in a neighbouring raw section, while a
+    # sustained regression inflates every repeat and still trips the
+    # gate.  Best repeat wins.  ``run_tasks(jobs=1)`` runs the tasks in
+    # this process, so nothing forks inside a pause.
+    def bare() -> List[int]:
+        return [task() for task in tasks]
 
-    def timed_raw():
-        gc.collect()
-        gc.disable()
-        began = perf_counter()
-        values = [task() for task in tasks]
-        elapsed = perf_counter() - began
-        gc.enable()
-        return values, elapsed
-
-    try:
-        for _ in range(max(repeats, 3)):
-            raw_values, raw_before = timed_raw()
-
-            gc.collect()
-            gc.disable()
-            began = perf_counter()
-            run = run_tasks(tasks, jobs=1)
-            engine_elapsed = perf_counter() - began
-            gc.enable()
-            if run.values != raw_values:
-                raise RuntimeError(
-                    "exec overhead probe: engine and bare loop disagreed"
-                )
-
-            _, raw_after = timed_raw()
-            denominator = max(raw_before, raw_after)
-            ratio = engine_elapsed / denominator
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                raw_s, engine_s = denominator, engine_elapsed
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for _ in range(repeats):
+        raw_values, raw_before = _timed(bare)
+        run, engine_elapsed = _timed(lambda: run_tasks(tasks, jobs=1))
+        if run.values != raw_values:
+            raise RuntimeError(
+                "exec overhead probe: engine and bare loop disagreed"
+            )
+        _, raw_after = _timed(bare)
+        denominator = max(raw_before, raw_after)
+        ratio = engine_elapsed / denominator
+        if best_ratio is None or ratio < best_ratio:
+            best_ratio = ratio
+            raw_s, engine_s = denominator, engine_elapsed
     return {
         "tasks": count,
         "raw_s": round(raw_s, 4),
         "engine_s": round(engine_s, 4),
         "overhead": round(max(0.0, best_ratio - 1.0), 4),
+    }
+
+
+#: The ways ``observe_overhead`` runs each case: unobserved, with the
+#: ``--metrics`` pack, and with the pack plus a streamed JSONL artifact.
+_OBSERVE_MODES = ("bare", "metrics", "stream")
+
+
+def _observed_run(case: PerfCase, horizon: int, mode: str):
+    """One run of ``case`` observed as ``mode``; ``(signature, seconds)``.
+
+    The run is pinned to the object loop, where every observed run
+    goes.  The observers are attached the way ``repro run`` attaches
+    them (``repro.service.runner``): the pack before the build, the
+    writer after it.  The streamed run is timed up to its closed
+    artifact, since the writer holds its last block until ``close``.
+    """
+    from ..obs import JsonlRunWriter, ProbeBus, RunManifest, SimulationMetrics
+
+    spec = _case_spec(case)
+    bus = pack = writer = None
+    if mode != "bare":
+        bus = ProbeBus()
+        pack = SimulationMetrics()
+        pack.attach(bus)
+    sim = spec.build(probes=bus, engine="object")
+    if mode == "stream":
+        writer = JsonlRunWriter(
+            stream=io.StringIO(),
+            manifest=RunManifest.create(spec=spec.canonical()),
+            metrics=pack,
+        ).attach(bus)
+
+    def section() -> None:
+        sim.run(until_time=horizon)
+        if writer is not None:
+            writer.close(sim=sim)
+
+    _, elapsed = _timed(section)
+    return execution_signature(sim), elapsed
+
+
+def _measure_observe_overhead(
+    suite: Sequence[PerfCase], quick: bool, repeats: int
+) -> Dict[str, Any]:
+    """What observing a run costs on the object loop, per case and overall.
+
+    Each case runs bare, with :class:`~repro.obs.SimulationMetrics`
+    (``--metrics``) and with the pack plus a
+    :class:`~repro.obs.JsonlRunWriter` streaming to memory; the three
+    runs of a repeat go back to back, and each mode keeps its fastest
+    of at least five repeats (the runs take milliseconds).  Observation must not change the execution, so the three
+    signatures must agree.  The ratios divide by the bare run; the
+    overall ones divide summed seconds.  CI's perf-smoke job gates the
+    overall ratios.
+    """
+    repeats = max(repeats, 5)
+    cases: Dict[str, Any] = {}
+    totals = dict.fromkeys(_OBSERVE_MODES, 0.0)
+    for case in suite:
+        horizon = case.quick_horizon if quick else case.horizon
+        best: Dict[str, float] = {}
+        signatures = set()
+        for _ in range(repeats):
+            for mode in _OBSERVE_MODES:
+                signature, elapsed = _observed_run(case, horizon, mode)
+                signatures.add(signature)
+                best[mode] = min(best.get(mode, elapsed), elapsed)
+        if len(signatures) != 1:
+            raise RuntimeError(
+                f"{case.name}: observing the run changed its execution"
+            )
+        for mode in _OBSERVE_MODES:
+            totals[mode] += best[mode]
+        cases[case.name] = {
+            "horizon": horizon,
+            **{f"{mode}_s": round(best[mode], 4) for mode in _OBSERVE_MODES},
+            "metrics": round(best["metrics"] / best["bare"], 2),
+            "stream": round(best["stream"] / best["bare"], 2),
+        }
+    bare = totals["bare"]
+    return {
+        "repeats": repeats,
+        "cases": cases,
+        "metrics": round(totals["metrics"] / bare, 2) if bare else None,
+        "stream": round(totals["stream"] / bare, 2) if bare else None,
     }
 
 
@@ -475,13 +581,14 @@ def run_perf(
     block (e.g. when benchmarking a custom case list).
     """
     suite = tuple(DEFAULT_CASES if cases is None else cases)
+    # A custom `cases` list opts out of the default fleet block and the
+    # observation probe too: tests and ad-hoc benchmarking pass tiny
+    # cases and should not pay for 1e5-station runs they never asked for.
     if fleet_cases is None:
-        # A custom `cases` list opts out of the default fleet block too:
-        # tests and ad-hoc benchmarking pass tiny cases and should not
-        # pay for 1e5-station runs they never asked for.
         fleet_suite = FLEET_CASES if cases is None else ()
     else:
         fleet_suite = tuple(fleet_cases)
+    observe_suite = OBSERVE_CASES if cases is None else ()
     if repeats is None:
         # Even quick mode takes best-of-2: a single noisy sample can
         # swing the speedup ratio past any reasonable CI tolerance.
@@ -616,8 +723,13 @@ def run_perf(
             "repeats": repeats,
             "geomean_speedup": geomean,
             # Identity-exempt like everything else in meta; CI's
-            # perf-smoke job asserts overhead stays under 5%.
+            # perf-smoke job asserts overhead stays under 5%, and
+            # bounds both observe_overhead ratios.
             "exec_overhead": _measure_exec_overhead(quick, repeats),
+            "observe_overhead": (
+                _measure_observe_overhead(observe_suite, quick, repeats)
+                if observe_suite else None
+            ),
             "wall_s": round(
                 sum(r["fraction_s"] + r["lattice_s"] for r in measured)
                 + sum(r["object_s"] + r["batch_s"] for r in fleet),
@@ -691,6 +803,23 @@ def render_report(document: Dict[str, Any]) -> List[str]:
                          cell["speedup"]]
                         for case, cell in throughput.items()
                     ],
+                }
+            )
+        )
+    observe = (document.get("meta") or {}).get("observe_overhead") or {}
+    if observe:
+        lines.append("")
+        lines.extend(
+            _render_table(
+                {
+                    "headers": ["observed run", "horizon", "bare_s",
+                                "metrics_x", "stream_x"],
+                    "rows": [
+                        [case, cell["horizon"], cell["bare_s"],
+                         cell["metrics"], cell["stream"]]
+                        for case, cell in observe["cases"].items()
+                    ] + [["overall", "-", "-", observe["metrics"],
+                          observe["stream"]]],
                 }
             )
         )

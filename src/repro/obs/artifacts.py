@@ -17,6 +17,13 @@ interrupted run still leaves a readable prefix, and a million-slot run
 streams to disk instead of accumulating in memory.  Read artifacts back
 with :func:`load_run`; summarize them with :func:`summarize_run` (the
 ``repro stats`` subcommand).
+
+The writer keeps the run's internal ticks until the text: event
+records are formatted from fixed templates (byte-equal to
+``json.dumps(record, separators=(",", ":"))``), a tick count becomes
+its fraction text with one ``gcd``, and the stream receives blocks of
+up to :data:`BLOCK_RECORDS` records.  The manifest goes out, flushed,
+on its own before the run starts.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import IO, Any, Callable, Dict, List, Optional, Union
 
 from .metrics import SimulationMetrics
@@ -40,6 +48,10 @@ from .probes import (
 
 #: Artifact schema version; bump when record fields change shape.
 SCHEMA_VERSION = 1
+
+#: Most records :class:`JsonlRunWriter` holds before it writes them to
+#: its stream in one call.
+BLOCK_RECORDS = 256
 
 
 def _frac(value: Any) -> str:
@@ -85,10 +97,20 @@ def git_sha(start: Optional[pathlib.Path] = None) -> Optional[str]:
     return sha
 
 
-def _action_name(action: Any) -> str:
-    if not action.is_transmit:
-        return "listen"
-    return "transmit_packet" if action.carries_packet else "transmit_control"
+def _dumps(record: Dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _tick_text(denominator: int) -> Callable[[int], str]:
+    """``ticks -> str(Fraction(ticks, denominator))``, without the Fraction."""
+
+    def text(ticks: int) -> str:
+        common = gcd(ticks, denominator)
+        if common == denominator:
+            return str(ticks // common)
+        return f"{ticks // common}/{denominator // common}"
+
+    return text
 
 
 @dataclass(slots=True)
@@ -211,82 +233,108 @@ class JsonlRunWriter:
             if self.path is not None
             else stream
         )
+        #: Formatted records not yet handed to the stream.
+        self._block: List[str] = []
+        # The timebase of the run being written, and its tick -> text.
+        self._timebase: Any = None
+        self._text: Callable[[Any], str] = str
         if manifest is not None:
-            self._write(manifest.to_record())
+            self._stream.write(_dumps(manifest.to_record()))
+            self._stream.flush()
 
     # -- low-level ------------------------------------------------------
 
-    def _write(self, record: Dict[str, Any]) -> None:
-        if self._stream is None:
+    def _add(self, line: str) -> None:
+        block = self._block
+        block.append(line)
+        if len(block) >= BLOCK_RECORDS:
+            self._write_block()
+
+    def _write_block(self) -> None:
+        if self._stream is None or not self._block:
             return
-        self._stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+        text = "".join(self._block)
+        self._block.clear()
+        self._stream.write(text)
+
+    def _use_timebase(self, timebase: Any) -> None:
+        self._timebase = timebase
+        self._text = _tick_text(timebase.denominator) if timebase.is_lattice else str
+
+    def flush(self) -> None:
+        """Write every held record to the stream and flush it.
+
+        :meth:`close` does this too; call it alone when the run raises,
+        so the records emitted before the failure are not lost.
+        """
+        if self._stream is not None:
+            self._write_block()
+            self._stream.flush()
 
     # -- probe callbacks ------------------------------------------------
 
     def _on_slot_end(self, event: SlotEndEvent) -> None:
         self._slot_events += 1
         if self._slot_events % self._slot_stride == 0:
-            self._write(
-                {
-                    "type": "slot",
-                    "sid": event.station_id,
-                    "idx": event.slot_index,
-                    "start": _frac(event.interval.start),
-                    "end": _frac(event.interval.end),
-                    "action": _action_name(event.action),
-                    "fb": event.feedback.name.lower(),
-                    "q": event.queue_size,
-                    "delivered": event.delivered,
-                    "backlog": event.backlog,
-                    "pkt": event.carried_packet_id,
-                }
+            if event.timebase is not self._timebase:
+                self._use_timebase(event.timebase)
+            text = self._text
+            span = event.internal_interval
+            action = event.action
+            if not action.is_transmit:
+                doing = "listen"
+            elif action.carries_packet:
+                doing = "transmit_packet"
+            else:
+                doing = "transmit_control"
+            packet = event.carried_packet_id
+            # A Feedback member's value is its lower-cased name.
+            self._add(
+                f'{{"type":"slot","sid":{event.station_id},'
+                f'"idx":{event.slot_index},"start":"{text(span.start)}",'
+                f'"end":"{text(span.end)}","action":"{doing}",'
+                f'"fb":"{event.feedback._value_}","q":{event.queue_size},'
+                f'"delivered":{"true" if event.delivered else "false"},'
+                f'"backlog":{event.backlog},'
+                f'"pkt":{"null" if packet is None else packet}}}\n'
             )
         if (
             self._metrics_every is not None
             and self.metrics is not None
             and self._slot_events % self._metrics_every == 0
         ):
-            self._write(
+            self._add(_dumps(
                 {
                     "type": "metrics",
                     "at_event": self._slot_events,
                     "data": self.metrics.snapshot(),
                 }
-            )
+            ))
 
     def _on_arrival(self, event: ArrivalEvent) -> None:
-        self._write(
-            {
-                "type": "arrival",
-                "pkt": event.packet_id,
-                "sid": event.station_id,
-                "t": _frac(event.at),
-                "backlog": event.backlog,
-            }
+        self._add(
+            f'{{"type":"arrival","pkt":{event.packet_id},'
+            f'"sid":{event.station_id},"t":"{event.at!s}",'
+            f'"backlog":{event.backlog}}}\n'
         )
 
     def _on_delivery(self, event: DeliveryEvent) -> None:
-        self._write(
-            {
-                "type": "delivery",
-                "pkt": event.packet_id,
-                "sid": event.station_id,
-                "t": _frac(event.at),
-                "latency": _frac(event.latency),
-                "cost": _frac(event.cost),
-                "backlog": event.backlog,
-            }
+        self._add(
+            f'{{"type":"delivery","pkt":{event.packet_id},'
+            f'"sid":{event.station_id},"t":"{event.at!s}",'
+            f'"latency":"{event.latency!s}","cost":"{event.cost!s}",'
+            f'"backlog":{event.backlog}}}\n'
         )
 
     def _on_collision(self, event: CollisionEvent) -> None:
-        self._write(
-            {
-                "type": "collision",
-                "sid": event.station_id,
-                "start": _frac(event.interval.start),
-                "end": _frac(event.interval.end),
-                "control": event.is_control,
-            }
+        if event.timebase is not self._timebase:
+            self._use_timebase(event.timebase)
+        text = self._text
+        span = event.internal_interval
+        self._add(
+            f'{{"type":"collision","sid":{event.station_id},'
+            f'"start":"{text(span.start)}","end":"{text(span.end)}",'
+            f'"control":{"true" if event.is_control else "false"}}}\n'
         )
 
     # -- lifecycle ------------------------------------------------------
@@ -329,7 +377,8 @@ class JsonlRunWriter:
                 summary["collisions"] = sim.channel.stats.collisions
             if self.metrics is not None:
                 summary["metrics"] = self.metrics.snapshot()
-            self._write(summary)
+            self._block.append(_dumps(summary))
+            self._write_block()
             if self._owns_stream:
                 self._stream.close()
             else:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from fractions import Fraction
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .probes import (
@@ -94,28 +95,76 @@ class Histogram:
     :meth:`recent_counts` can report the *current* distribution of a
     long run (e.g. the feedback mix over the last 10k slots, which
     reveals a phase change the all-time mix averages away).
+
+    A hot producer may count in integer units instead: it increments
+    the tally :meth:`scaled_counts` hands it, and :attr:`counts`,
+    :attr:`count`, :attr:`total` and :meth:`mean` fold every tally in
+    as exact Fractions when they are read.
     """
 
-    __slots__ = ("name", "counts", "count", "total", "window", "_recent")
+    __slots__ = ("name", "window", "_counts", "_count", "_total", "_scaled",
+                 "_recent")
 
     def __init__(self, name: str, window: Optional[int] = None) -> None:
         if window is not None and window < 1:
             raise ValueError(f"histogram window must be >= 1, got {window}")
         self.name = name
-        self.counts: Dict[Any, int] = {}
-        self.count = 0
-        self.total: Any = 0
         self.window = window
+        self._counts: Dict[Any, int] = {}
+        self._count = 0
+        self._total: Any = 0
+        self._scaled: Dict[int, Dict[Any, int]] = {}
         self._recent: Optional[Deque[Any]] = (
             deque(maxlen=window) if window is not None else None
         )
 
     def observe(self, value: Any) -> None:
-        self.counts[value] = self.counts.get(value, 0) + 1
-        self.count += 1
-        self.total = self.total + value
+        self._counts[value] = self._counts.get(value, 0) + 1
+        self._count += 1
+        self._total = self._total + value
         if self._recent is not None:
             self._recent.append(value)
+
+    def scaled_counts(self, denominator: int) -> Dict[Any, int]:
+        """The live tally of values ``k / denominator``, keyed by ``k``.
+
+        Each denominator has its own tally, so producers on different
+        units never mix.  A windowed histogram must see every value in
+        order, so it takes :meth:`observe` only.
+        """
+        if self._recent is not None:
+            raise ValueError(f"histogram {self.name!r} is windowed; use observe()")
+        tally = self._scaled.get(denominator)
+        if tally is None:
+            tally = self._scaled[denominator] = {}
+        return tally
+
+    @property
+    def counts(self) -> Dict[Any, int]:
+        """Observation count per value, over the whole run."""
+        if not self._scaled:
+            return self._counts
+        merged = dict(self._counts)
+        for denominator, tally in self._scaled.items():
+            for units, times in tally.items():
+                value = Fraction(units, denominator)
+                merged[value] = merged.get(value, 0) + times
+        return merged
+
+    @property
+    def count(self) -> int:
+        return self._count + sum(
+            sum(tally.values()) for tally in self._scaled.values()
+        )
+
+    @property
+    def total(self) -> Any:
+        total = self._total
+        for denominator, tally in self._scaled.items():
+            if tally:
+                units = sum(k * times for k, times in tally.items())
+                total = total + Fraction(units, denominator)
+        return total
 
     def recent_counts(self) -> Dict[Any, int]:
         """Distribution over the last ``window`` observations."""
@@ -125,7 +174,8 @@ class Histogram:
         return out
 
     def mean(self) -> Optional[Any]:
-        return self.total / self.count if self.count else None
+        count = self.count
+        return self.total / count if count else None
 
     def snapshot(self) -> Dict[str, Any]:
         ordered = sorted(self.counts.items(), key=lambda kv: str(kv[0]))
@@ -222,7 +272,8 @@ class SimulationMetrics:
     Instruments (registry names):
 
     * ``slots`` — slot-end events processed;
-    * ``slot_length`` — histogram of realized slot lengths;
+    * ``slot_length`` — histogram of realized slot lengths, counted in
+      each run's internal units and read as exact Fractions;
     * ``feedback.{ack,silence,busy}`` — the feedback mix;
     * ``collisions`` / ``control_messages`` — channel pathologies;
     * ``arrivals`` / ``delivered`` — packet flow;
@@ -250,24 +301,47 @@ class SimulationMetrics:
         self._backlog = reg.gauge("backlog")
         self._backlog.set(0)
         self._queues: Dict[int, Gauge] = {}
+        # The timebase of the run being observed, and the slot-length
+        # tally in its units (None when the histogram is windowed).
+        self._timebase: Any = None
+        self._lengths: Optional[Dict[Any, int]] = None
         self._wall_start: Optional[float] = None
         self._wall_last: Optional[float] = None
         self._detach: Optional[Callable[[], None]] = None
 
     # -- subscriber callbacks ------------------------------------------
 
+    def _use_timebase(self, timebase: Any) -> None:
+        self._timebase = timebase
+        if self._slot_length.window is None:
+            # Internal units are ticks of 1/D on a lattice and exact
+            # Fractions (units of 1/1) otherwise.
+            self._lengths = self._slot_length.scaled_counts(
+                timebase.denominator or 1
+            )
+
     def _on_slot_end(self, event: SlotEndEvent) -> None:
-        self._slots.inc()
-        self._slot_length.observe(event.interval.duration)
-        self._feedback[event.feedback.name.lower()].inc()
+        self._slots.value += 1
+        if event.timebase is not self._timebase:
+            self._use_timebase(event.timebase)
+        lengths = self._lengths
+        if lengths is None:
+            self._slot_length.observe(event.interval.duration)
+        else:
+            span = event.internal_interval
+            length = span.end - span.start
+            lengths[length] = lengths.get(length, 0) + 1
+        # A Feedback member's value is its lower-cased name.
+        self._feedback[event.feedback._value_].value += 1
         self._backlog.set(event.backlog)
         queue = self._queues.get(event.station_id)
         if queue is None:
             queue = self.registry.gauge(f"queue.{event.station_id}")
             self._queues[event.station_id] = queue
         queue.set(event.queue_size)
-        if event.action.is_transmit and not event.action.carries_packet:
-            self._control.inc()
+        action = event.action
+        if action.is_transmit and not action.carries_packet:
+            self._control.value += 1
         self._wall_last = time.perf_counter()
 
     def _on_collision(self, event: CollisionEvent) -> None:

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->obs cycle
 
     from ..core.feedback import Feedback
     from ..core.station import Action
-    from ..core.timebase import Interval, Time
+    from ..core.timebase import Interval, Time, Timebase
 
 
 #: The probe point names, in rough firing order within one slot.
@@ -71,21 +71,31 @@ class SlotBeginEvent:
 class SlotEndEvent:
     """A station's slot closed: the full per-slot story.
 
-    ``queue_size`` is the station's queue length after delivery pops and
-    arrival pushes — what the algorithm saw when choosing its next
-    action.  ``backlog`` is the system-wide undelivered packet count at
-    the slot boundary.
+    ``internal_interval`` is the slot in the run's internal units
+    (integer ticks on a lattice) and ``timebase`` the run's
+    :class:`~repro.core.timebase.Timebase`; :attr:`interval` converts
+    to exact public time on access, so only subscribers that read it
+    pay for the conversion.  ``queue_size`` is the station's queue
+    length after delivery pops and arrival pushes — what the algorithm
+    saw when choosing its next action.  ``backlog`` is the system-wide
+    undelivered packet count at the slot boundary.
     """
 
     station_id: int
     slot_index: int
-    interval: "Interval"
+    internal_interval: "Interval"
+    timebase: "Timebase"
     action: "Action"
     feedback: "Feedback"
     queue_size: int
     delivered: bool
     backlog: int
     carried_packet_id: Optional[int]
+
+    @property
+    def interval(self) -> "Interval":
+        """The slot in exact public time."""
+        return self.timebase.interval_public(self.internal_interval)
 
 
 @dataclass(slots=True)
@@ -126,12 +136,19 @@ class CollisionEvent:
 
     One event per *transmission that became overlapped*, matching the
     semantics of ``ChannelStats.collisions`` (a pairwise collision fires
-    twice, a k-way pile-up k times).
+    twice, a k-way pile-up k times).  The transmission's interval rides
+    in internal units, as on :class:`SlotEndEvent`.
     """
 
     station_id: int
-    interval: "Interval"
+    internal_interval: "Interval"
+    timebase: "Timebase"
     is_control: bool
+
+    @property
+    def interval(self) -> "Interval":
+        """The transmission in exact public time."""
+        return self.timebase.interval_public(self.internal_interval)
 
 
 class ProbeBus:

@@ -5,7 +5,11 @@ to ``/run``, stream the NDJSON response as it arrives — artifact/event
 records to an optional output stream, the trailing
 ``{"type": "service", ...}`` envelope back to the caller.
 ``urllib`` transparently decodes the chunked transfer encoding, so
-records are seen line-by-line while the simulation is still running.
+records are seen line-by-line while the simulation is still running
+(the daemon sends them in blocks, the manifest first on its own).  Only
+lines that can be the envelope or an in-band error — those containing
+``service`` or ``error`` — are parsed; every other line goes to the
+output stream verbatim.
 """
 
 from __future__ import annotations
@@ -70,16 +74,17 @@ def submit_request(
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                record = None
-            kind = record.get("type") if isinstance(record, dict) else None
-            if kind == "service":
-                envelope = record
-                continue
-            if kind == "error":
-                raise ServiceError(str(record.get("error", "daemon error")))
+            if "service" in line or "error" in line:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    record = None
+                kind = record.get("type") if isinstance(record, dict) else None
+                if kind == "service":
+                    envelope = record
+                    continue
+                if kind == "error":
+                    raise ServiceError(str(record.get("error", "daemon error")))
             if out is not None:
                 out.write(line if line.endswith("\n") else line + "\n")
     if envelope is None:

@@ -374,7 +374,12 @@ def _execute_run(
             "run", scenario=spec.name, algorithm=spec.algorithm,
             engine=sim.engine,
         )
-    sim.run(until_time=spec.horizon)
+    try:
+        sim.run(until_time=spec.horizon)
+    except BaseException:
+        if writer is not None:
+            writer.flush()  # the records emitted before the failure
+        raise
     if run_span is not None:
         if profiler is not None:
             from ..analysis.experiments import emit_phase_spans

@@ -4,8 +4,11 @@ A long-lived :class:`~http.server.ThreadingHTTPServer` that accepts
 :class:`~repro.service.RunRequest` JSON and executes it on the same
 :func:`~repro.service.execute` pipeline the CLI uses.  No third-party
 dependencies: requests ride ``http.server``, responses stream as
-HTTP/1.1 chunked NDJSON (one JSON record per line, one chunk per
-record, so clients see events as they happen).
+HTTP/1.1 chunked NDJSON (one JSON record per line).  A run's manifest
+goes out as a chunk of its own before the simulation starts; its event
+records follow in chunks of up to
+:data:`~repro.obs.artifacts.BLOCK_RECORDS` records as the run produces
+them, each chunk framed with one socket write.
 
 Endpoints:
 
@@ -99,9 +102,7 @@ class _ChunkedWriter:
     def write(self, text: str) -> int:
         data = text.encode("utf-8")
         if data:
-            self._raw.write(f"{len(data):X}\r\n".encode("ascii"))
-            self._raw.write(data)
-            self._raw.write(b"\r\n")
+            self._raw.write(b"%X\r\n%s\r\n" % (len(data), data))
         return len(text)
 
     def flush(self) -> None:

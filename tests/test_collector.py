@@ -136,3 +136,30 @@ class TestFinishedBatchRunIsFreed:
         sim.run(until_time=10)
         assert clone.events_processed == sim.events_processed
         assert execution_signature(clone) == execution_signature(sim)
+
+
+class TestPerfProbes:
+    """The perf probes time their sections with the collector paused and
+    give back the collector state they found."""
+
+    def test_exec_overhead_probe_leaves_a_disabled_collector_disabled(self):
+        from repro.exec.perf import _measure_exec_overhead
+
+        gc.disable()
+        try:
+            _measure_exec_overhead(quick=True, repeats=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_observe_overhead_probe_leaves_a_disabled_collector_disabled(self):
+        from repro.exec.perf import PerfCase, _measure_observe_overhead
+
+        case = PerfCase(name="tiny", algorithm="ca-arrow", n=3,
+                        horizon=40, quick_horizon=40)
+        gc.disable()
+        try:
+            _measure_observe_overhead([case], quick=True, repeats=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

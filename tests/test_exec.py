@@ -423,6 +423,47 @@ class TestPerfSuite:
         assert [len(t["rows"]) for t in quick["tables"]] == \
             [len(t["rows"]) for t in full["tables"]]
 
+    def test_observe_overhead_reports_ratios_per_case(self):
+        from repro.exec.perf import (
+            PerfCase,
+            _measure_observe_overhead,
+            render_report,
+            run_perf,
+        )
+
+        observed = PerfCase(name="tiny-observed", algorithm="ca-arrow", n=3,
+                            horizon=80, quick_horizon=60)
+        probe = _measure_observe_overhead([observed], quick=True, repeats=1)
+        assert probe["repeats"] == 5
+        cell = probe["cases"]["tiny-observed"]
+        assert cell["horizon"] == 60
+        assert min(cell["bare_s"], cell["metrics_s"], cell["stream_s"]) > 0
+        assert cell["metrics"] > 0 and cell["stream"] > 0
+        assert isinstance(probe["metrics"], float)
+        assert isinstance(probe["stream"], float)
+        # A custom case list leaves the default observed runs out; the
+        # report renders the probe when it is there.
+        document = run_perf(cases=[self._tiny_case()], quick=True, repeats=1)
+        assert document["meta"]["observe_overhead"] is None
+        document["meta"]["observe_overhead"] = probe
+        assert any(line.startswith("overall") for line in render_report(document))
+
+    def test_observe_cases_are_the_bundled_scenarios_at_a_quarter(self):
+        import pathlib
+
+        from repro.exec.perf import OBSERVE_CASES, _case_spec
+        from repro.scenarios import load_spec
+
+        root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+        fields = ("algorithm", "n", "max_slot", "schedule", "rho", "burst",
+                  "source", "seed", "faults")
+        for case in OBSERVE_CASES:
+            bundled = load_spec(root / f"{case.name}.json")
+            spec = _case_spec(case)
+            assert [getattr(spec, f) for f in fields] == \
+                [getattr(bundled, f) for f in fields], case.name
+            assert case.horizon == bundled.horizon // 4
+
     def test_fleet_win_policy_is_per_case(self):
         """Only cases with a ``win_min`` get a policed ``win`` cell, and
         the floor itself is printed next to it (exact-compare in CI)."""
