@@ -6,6 +6,12 @@ layer (:mod:`repro.scenarios`): flags build a
 The same spec can live in a JSON file — ``repro scenario run`` of the
 file is byte-identical to the equivalent ``repro run`` flags.
 
+The CLI is a transport: it parses flags into specs and a
+:class:`~repro.service.RunRequest` and renders what comes back.  The
+spec, the options and :func:`~repro.service.plan` check the values, and
+:func:`main` turns their errors into a one-line exit; the CLI itself
+checks flag syntax only.
+
 The subcommands cover the repository's surface:
 
 * ``run``       — dynamic packet transmission (AO-/CA-ARRoW, baselines)
@@ -85,6 +91,7 @@ from .analysis import (
 )
 from .core import as_time
 from .core.errors import ConfigurationError
+from .exec import JournalMismatch
 from .lowerbounds import (
     force_collision_or_overflow,
     measure_rate_one_instability,
@@ -103,8 +110,12 @@ from .obs import (
 from .scenarios import ALGORITHMS, FAULTS, SCHEDULES, SOURCES, ScenarioSpec, load_spec
 from .service import (
     COMMANDS,
+    ENGINES,
+    TIMEBASES,
+    RunOptions,
     RunRequest,
     RunResult,
+    ServiceError,
     execute,
     options_from_args,
 )
@@ -154,16 +165,12 @@ def _parse_fault_flag(text: str) -> Dict[str, Any]:
     return entry
 
 
-def _spec_or_exit(**kwargs: Any) -> ScenarioSpec:
-    """Build a spec, turning validation errors into CLI errors."""
-    try:
-        return ScenarioSpec(**kwargs)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _dynamic_algorithm_or_exit(name: str) -> None:
-    """Reject non-fleet names with the historical error shape."""
+    """Reject non-fleet names with the historical error shape.
+
+    The rule for flag-built runs only: a spec file may name any
+    registered algorithm, SST ones included.
+    """
     if name not in ALGORITHMS.names(kind="dynamic"):
         raise SystemExit(
             f"unknown algorithm {name!r} "
@@ -171,29 +178,47 @@ def _dynamic_algorithm_or_exit(name: str) -> None:
         )
 
 
-def _schedule_or_exit(name: str) -> str:
-    if name not in SCHEDULES:
-        raise SystemExit(
-            f"unknown schedule {name!r} (use {' | '.join(SCHEDULES.names())})"
-        )
-    return name
+def _flag_specs(
+    args: argparse.Namespace,
+    algorithms: Sequence[str],
+    rhos: Sequence[str],
+    *,
+    labelled: bool = False,
+) -> Tuple[ScenarioSpec, ...]:
+    """The specs the shared scenario flags describe, algorithm x rho.
 
-
-def _spec_from_run_args(args: argparse.Namespace) -> ScenarioSpec:
-    _dynamic_algorithm_or_exit(args.algorithm)
-    _schedule_or_exit(args.schedule)
+    ``run`` builds one; ``grid`` builds one per cell, labelled with its
+    algorithm and rho (the report's columns).
+    """
     faults = tuple(_parse_fault_flag(text) for text in (args.faults or ()))
-    return _spec_or_exit(
-        algorithm=args.algorithm,
-        n=args.n,
-        max_slot=args.max_slot,
-        schedule=args.schedule,
-        rho=args.rho,
-        burst=args.burst,
-        horizon=args.horizon,
-        seed=args.seed,
-        faults=faults,
-    )
+    specs = []
+    for algorithm in algorithms:
+        _dynamic_algorithm_or_exit(algorithm)
+        for rho in rhos:
+            labels = {"algorithm": algorithm, "rho": rho} if labelled else {}
+            specs.append(ScenarioSpec(
+                algorithm=algorithm,
+                n=args.n,
+                max_slot=args.max_slot,
+                schedule=args.schedule,
+                rho=rho,
+                burst=args.burst,
+                horizon=args.horizon,
+                seed=args.seed,
+                faults=faults,
+                labels=labels,
+            ))
+    return tuple(specs)
+
+
+def _file_spec(path: str, args: argparse.Namespace) -> ScenarioSpec:
+    """A spec file (or a JSONL artifact's spec) with --horizon/--seed applied."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("horizon", "seed")
+        if getattr(args, name) is not None
+    }
+    return load_spec(path).replace(**overrides)
 
 
 @contextmanager
@@ -220,25 +245,13 @@ def _tracing(path: Optional[str]) -> Iterator[Optional[Tracer]]:
         print(f"trace: {target}")
 
 
-def _request_or_exit(**kwargs: Any) -> RunRequest:
-    """Build a service request, turning validation errors into CLI errors."""
-    try:
-        return RunRequest(**kwargs)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
     """Route one spec through the service (``run`` / ``scenario run``)."""
-    if args.progress and args.progress < 1:
-        raise SystemExit(f"--progress must be >= 1, got {args.progress}")
-    request = _request_or_exit(
+    request = RunRequest(
         specs=(spec,), command="run", options=options_from_args(args)
     )
-    try:
+    with _tracing(args.trace):
         result = execute(request)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
     _render_run(spec, result, args)
     return 0
 
@@ -255,7 +268,7 @@ def _render_run(
     print(f"algorithm={spec.algorithm} n={spec.n} R={spec.max_slot} "
           f"rho={spec.rho} schedule={spec.schedule_display()} "
           f"horizon={spec.horizon}")
-    if getattr(args, "verbose_engine", False):
+    if args.verbose_engine:
         detail = f" ({result.engine_detail})" if result.engine_detail else ""
         print(f"  engine:         {result.engine}/"
               f"{result.timebase}{detail}")
@@ -279,9 +292,8 @@ def _render_run(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_run_args(args)
-    with _tracing(args.trace):
-        return _run_spec(spec, args)
+    (spec,) = _flag_specs(args, [args.algorithm], [args.rho])
+    return _run_spec(spec, args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -369,40 +381,17 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from .exec import JournalMismatch
+    def names(text: str) -> List[str]:
+        return [name.strip() for name in text.split(",") if name.strip()]
 
-    algorithms = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    rhos = [rho.strip() for rho in args.rhos.split(",") if rho.strip()]
-    if not algorithms or not rhos:
-        raise SystemExit("--algorithms and --rhos must each name at least one value")
-    _schedule_or_exit(args.schedule)
-    faults = tuple(_parse_fault_flag(text) for text in (args.faults or ()))
-    specs = []
-    for algorithm in algorithms:
-        _dynamic_algorithm_or_exit(algorithm)
-        for rho in rhos:
-            specs.append(_spec_or_exit(
-                algorithm=algorithm,
-                n=args.n,
-                max_slot=args.max_slot,
-                schedule=args.schedule,
-                rho=rho,
-                burst=args.burst,
-                horizon=args.horizon,
-                seed=args.seed,
-                faults=faults,
-                labels={"algorithm": algorithm, "rho": rho},
-            ))
-    request = _request_or_exit(
-        specs=tuple(specs), command="grid", options=options_from_args(args)
+    specs = _flag_specs(
+        args, names(args.algorithms), names(args.rhos), labelled=True
     )
-    try:
-        with _tracing(args.trace):
-            grid = execute(request)
-    except JournalMismatch as exc:
-        raise SystemExit(str(exc))
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    request = RunRequest(
+        specs=specs, command="grid", options=options_from_args(args)
+    )
+    with _tracing(args.trace):
+        grid = execute(request)
     report = grid.report
     header = (
         f"{'name':<24} {'stable':<8} {'delivered':>9} {'backlog':>7} "
@@ -526,22 +515,7 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    overrides: Dict[str, Any] = {}
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        try:
-            spec = spec.replace(**overrides)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-    with _tracing(args.trace):
-        return _run_spec(spec, args)
+    return _run_spec(_file_spec(args.spec, args), args)
 
 
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
@@ -559,11 +533,8 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 def _cmd_bench_perf(args: argparse.Namespace) -> int:
     from .exec.perf import render_report, run_perf, write_report
 
-    try:
-        with _tracing(args.trace):
-            document = run_perf(quick=args.quick)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    with _tracing(args.trace):
+        document = run_perf(quick=args.quick)
     for line in render_report(document):
         print(line)
     meta = document["meta"]
@@ -619,13 +590,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_sst(args: argparse.Namespace) -> int:
-    if args.algorithm not in ALGORITHMS.names(kind="sst"):
-        raise SystemExit(
-            f"unknown SST algorithm {args.algorithm!r} "
-            f"(use {' | '.join(ALGORITHMS.names(kind='sst'))})"
-        )
-    _schedule_or_exit(args.schedule)
-    spec = _spec_or_exit(
+    spec = ScenarioSpec(
         algorithm=args.algorithm,
         n=args.n,
         max_slot=args.max_slot,
@@ -633,13 +598,9 @@ def _cmd_sst(args: argparse.Namespace) -> int:
         seed=args.seed,
         rho=None,
     )
-    request = _request_or_exit(
+    result = execute(RunRequest(
         specs=(spec,), command="sst", options=options_from_args(args)
-    )
-    try:
-        result = execute(request)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    ))
     if not result.ok:
         print("SST NOT solved within the event budget")
         return 1
@@ -657,16 +618,11 @@ def _cmd_sst(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import serve_forever
 
-    try:
-        return serve_forever(
-            args.host, args.port, args.cache_dir, quiet=args.quiet
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    return serve_forever(args.host, args.port, args.cache_dir, quiet=args.quiet)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceError, submit_request
+    from .service import submit_request
 
     try:
         text = pathlib.Path(args.target).read_text(encoding="utf-8")
@@ -680,26 +636,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         "specs" in probe or "spec" in probe or "request" in probe
     ):
         # A full RunRequest document: submit it as-is.
-        try:
-            request = RunRequest.from_json(probe)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
+        request = RunRequest.from_json(probe)
     else:
         # A scenario spec file (or JSONL artifact): wrap it in a request
         # built from the submit flags, exactly like `scenario run`.
-        try:
-            spec = load_spec(args.target)
-            overrides: Dict[str, Any] = {}
-            if args.horizon is not None:
-                overrides["horizon"] = args.horizon
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if overrides:
-                spec = spec.replace(**overrides)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-        request = _request_or_exit(
-            specs=(spec,), command=args.command,
+        request = RunRequest(
+            specs=(_file_spec(args.target, args),), command=args.command,
             options=options_from_args(args),
         )
     out = None
@@ -709,12 +651,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 out = open(args.out, "w", encoding="utf-8")
             except OSError as exc:
                 raise SystemExit(f"cannot write {args.out!r}: {exc}") from None
-        try:
-            envelope = submit_request(
-                args.url, request, out=out, timeout=args.timeout
-            )
-        except ServiceError as exc:
-            raise SystemExit(str(exc)) from None
+        envelope = submit_request(
+            args.url, request, out=out, timeout=args.timeout
+        )
     finally:
         if out is not None:
             out.close()
@@ -767,48 +706,50 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             print(f"  X / Y:       {result.slot_length_s1} / {result.slot_length_s2}")
             print(f"  collision at t = {result.collision_time} (replayed)")
         return 0
-    if args.construction == "rate1":
-        _dynamic_algorithm_or_exit(args.algorithm)
-        spec = _spec_or_exit(
-            algorithm=args.algorithm,
-            n=args.n,
-            max_slot=args.max_slot,
-            seed=args.seed,
-            rho=None,
-        )
-        report = measure_rate_one_instability(
-            spec.build_fleet(),
-            max_slot_length=spec.max_slot,
-            horizon=args.horizon,
-        )
-        print(f"Theorem 5 vs {args.algorithm}: n={args.n} R={spec.max_slot} "
-              f"horizon={args.horizon}")
-        print(f"  backlog slope:  {report.slope:.4f} packets/time")
-        print(f"  final backlog:  {report.final_backlog} (peak {report.max_backlog})")
-        print(f"  delivered:      {report.delivered}")
-        print(f"  verdict:        "
-              f"{'UNSTABLE (grew unboundedly)' if report.grew_unboundedly else 'inconclusive'}")
-        return 0
-    raise SystemExit(
-        f"unknown construction {args.construction!r} (use mirror | thm4 | rate1)"
+    # rate1: argparse's choices admit no other construction.
+    _dynamic_algorithm_or_exit(args.algorithm)
+    spec = ScenarioSpec(
+        algorithm=args.algorithm,
+        n=args.n,
+        max_slot=args.max_slot,
+        seed=args.seed,
+        rho=None,
     )
+    report = measure_rate_one_instability(
+        spec.build_fleet(),
+        max_slot_length=spec.max_slot,
+        horizon=args.horizon,
+    )
+    print(f"Theorem 5 vs {args.algorithm}: n={args.n} R={spec.max_slot} "
+          f"horizon={args.horizon}")
+    print(f"  backlog slope:  {report.slope:.4f} packets/time")
+    print(f"  final backlog:  {report.final_backlog} (peak {report.max_backlog})")
+    print(f"  delivered:      {report.delivered}")
+    print(f"  verdict:        "
+          f"{'UNSTABLE (grew unboundedly)' if report.grew_unboundedly else 'inconclusive'}")
+    return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, max_slot = args.n, as_time(args.max_slot)
     rho, b = as_time(args.rho), as_time(args.burstiness)
-    print(f"closed-form bounds at n={n}, R={max_slot}, rho={rho}, b={b}:")
-    print(f"  ABS slots (Thm 1):            {abs_slot_upper_bound(n, max_slot)}")
-    print(f"  SST lower bound (Thm 2, r=R): "
-          f"{float(sst_lower_bound_slots(n, max_slot)):.1f}")
-    print(f"  AO-ARRoW queue cost L (Thm 3): "
-          f"{float(ao_queue_bound_L(n, max_slot, rho, b, max_slot)):.1f}")
-    print(f"  AO-ARRoW sync threshold:       "
-          f"{ao_sync_silence_threshold(max_slot)} slots")
-    print(f"  CA-ARRoW gap:                  {ca_gap_slots(max_slot)} slots")
-    print(f"  CA-ARRoW queue cost (Thm 6):   "
-          f"{float(ca_queue_bound_L(n, max_slot, rho, b)):.1f}")
-    print(f"  MBTF sync reference 2(n^2+b):  {float(mbtf_queue_bound(n, b)):.1f}")
+    # Every bound is computed before anything prints, so a rejected
+    # parameter ends the command with its one-line error alone.
+    lines = [
+        f"closed-form bounds at n={n}, R={max_slot}, rho={rho}, b={b}:",
+        f"  ABS slots (Thm 1):            {abs_slot_upper_bound(n, max_slot)}",
+        f"  SST lower bound (Thm 2, r=R): "
+        f"{float(sst_lower_bound_slots(n, max_slot)):.1f}",
+        f"  AO-ARRoW queue cost L (Thm 3): "
+        f"{float(ao_queue_bound_L(n, max_slot, rho, b, max_slot)):.1f}",
+        f"  AO-ARRoW sync threshold:       "
+        f"{ao_sync_silence_threshold(max_slot)} slots",
+        f"  CA-ARRoW gap:                  {ca_gap_slots(max_slot)} slots",
+        f"  CA-ARRoW queue cost (Thm 6):   "
+        f"{float(ca_queue_bound_L(n, max_slot, rho, b)):.1f}",
+        f"  MBTF sync reference 2(n^2+b):  {float(mbtf_queue_bound(n, b)):.1f}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -848,35 +789,92 @@ def _scenario_flags_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _obs_flags(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by ``run`` and ``scenario run``."""
-    parser.add_argument("--metrics", action="store_true",
-                        help="attach the metric instruments and print them")
-    parser.add_argument("--emit-jsonl", metavar="PATH",
-                        help="stream a manifest + per-event JSONL artifact")
-    parser.add_argument("--profile", action="store_true",
-                        help="report wall time per simulator phase")
-    parser.add_argument("--progress", type=int, metavar="N", default=0,
-                        help="print a progress line every N slot events")
-    parser.add_argument("--timebase", choices=("auto", "lattice", "fraction"),
-                        default="auto",
-                        help="internal time representation (observably "
-                        "identical; 'auto' uses integer ticks when the "
-                        "scenario declares a time lattice)")
-    parser.add_argument("--engine", choices=("auto", "batch", "object"),
-                        default="auto",
-                        help="run loop (observably identical; 'auto' uses "
-                        "the vectorized batch kernel when every component "
-                        "is batch-eligible and about 20 or more slots end "
-                        "per tick, else the per-object loop)")
+#: Every run-option flag, declared once: its RunOptions field and the
+#: argparse keywords.  The flag is the field in dashes, the dest is the
+#: field, and the default is the RunOptions default, so
+#: :func:`~repro.service.options_from_args` reads the flags back by
+#: field name; the service validates the values.
+_OPTION_FLAGS: Dict[str, Dict[str, Any]] = {
+    "metrics": dict(action="store_true",
+                    help="attach the metric instruments and report them"),
+    "emit_jsonl": dict(metavar="PATH",
+                       help="stream a manifest + per-event JSONL artifact"),
+    "profile": dict(action="store_true",
+                    help="report wall time per simulator phase"),
+    "progress": dict(type=int, metavar="N",
+                     help="print a progress line every N slot events"),
+    "timebase": dict(choices=TIMEBASES,
+                     help="internal time representation (observably "
+                     "identical; 'auto' uses integer ticks when the "
+                     "scenario declares a time lattice)"),
+    "engine": dict(choices=ENGINES,
+                   help="run loop (observably identical; 'auto' uses the "
+                   "vectorized batch kernel when every component is "
+                   "batch-eligible and about 20 or more slots end per "
+                   "tick, else the per-object loop)"),
+    "trace": dict(metavar="PATH",
+                  help="record a flight-recorder trace and export Chrome "
+                  "trace-event JSON (Perfetto-loadable)"),
+    "backlog_stride": dict(type=int,
+                           help="trace sampling stride (passed to every cell)"),
+    "jobs": dict(type=int, help="worker processes (0 = one per CPU core)"),
+    "cache_dir": dict(help="result cache + history database directory"),
+    "task_timeout": dict(type=float, metavar="SECONDS",
+                         help="kill any cell running longer than this "
+                         "(pool mode; killed cells count as retries)"),
+    "retries": dict(type=int,
+                    help="re-run a failed/crashed/timed-out cell up to N "
+                    "more times (deterministic backoff)"),
+    "journal": dict(metavar="PATH",
+                    help="checkpoint completed cells to this JSONL file as "
+                    "they finish"),
+    "resume": dict(action="store_true",
+                   help="restore completed cells from the journal and "
+                   "recompute only the missing ones (default journal: "
+                   "<cache-dir>/grid-journal.jsonl)"),
+    "csv": dict(metavar="PATH", help="also write results as CSV"),
+    "max_events": dict(type=int),
+}
+
+#: The switch forms ``grid`` takes instead: caching is on unless
+#: ``--no-cache``, and ``--progress`` reports every cell.
+#: :func:`~repro.service.options_from_args` maps both onto their fields.
+_GRID_SWITCHES: Dict[str, Dict[str, Any]] = {
+    "no_cache": dict(action="store_true",
+                     help="bypass the content-addressed result cache"),
+    "progress": dict(action="store_true",
+                     help="report per-cell progress on stderr"),
+}
+
+
+def _option_flags(
+    parser: argparse.ArgumentParser, *fields: str, switches: bool = False
+) -> None:
+    """Add the run-option flags of ``fields`` to ``parser``, in order.
+
+    With ``switches`` (``grid``), a field with a switch form takes it.
+    """
+    defaults = RunOptions()
+    for name in fields:
+        flag = "--" + name.replace("_", "-")
+        if switches and name in _GRID_SWITCHES:
+            parser.add_argument(flag, **_GRID_SWITCHES[name])
+        else:
+            parser.add_argument(
+                flag, default=getattr(defaults, name), **_OPTION_FLAGS[name]
+            )
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    """The option and report flags shared by ``run`` and ``scenario run``."""
+    _option_flags(parser, "metrics", "emit_jsonl", "profile", "progress",
+                  "timebase", "engine")
     parser.add_argument("--verbose-engine", action="store_true",
                         help="print the resolved engine/timebase, plus the "
                         "promotion path (which vector programs matched) "
                         "when auto picked the batch kernel or the demotion "
                         "reason when it fell back to the object loop")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="record a flight-recorder trace and export "
-                        "Chrome trace-event JSON (Perfetto-loadable)")
+    _option_flags(parser, "trace")
 
 
 def _version_string() -> str:
@@ -901,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dynamic packet transmission")
     run_p.add_argument("--algorithm", default="ca-arrow")
     run_p.add_argument("--rho", default="1/2")
-    _obs_flags(run_p)
+    _run_flags(run_p)
     run_p.set_defaults(handler=_cmd_run)
 
     stats_p = sub.add_parser("stats", help="summarize a saved JSONL run")
@@ -916,40 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated algorithm names")
     grid_p.add_argument("--rhos", default="3/10,1/2,7/10,9/10",
                         help="comma-separated injection rates")
-    grid_p.add_argument("--backlog-stride", type=int, default=8,
-                        help="trace sampling stride (passed to every cell)")
-    grid_p.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU core)")
-    grid_p.add_argument("--no-cache", action="store_true",
-                        help="bypass the content-addressed result cache")
-    grid_p.add_argument("--cache-dir", default=".repro-cache")
-    grid_p.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill any cell running longer than this "
-                             "(pool mode; killed cells count as retries)")
-    grid_p.add_argument("--retries", type=int, default=0,
-                        help="re-run a failed/crashed/timed-out cell up to "
-                             "N more times (deterministic backoff)")
-    grid_p.add_argument("--journal", metavar="PATH", default=None,
-                        help="checkpoint completed cells to this JSONL "
-                             "file as they finish")
-    grid_p.add_argument("--resume", action="store_true",
-                        help="restore completed cells from the journal and "
-                             "recompute only the missing ones "
-                             "(default journal: <cache-dir>/grid-journal.jsonl)")
-    grid_p.add_argument("--csv", metavar="PATH", help="also write results as CSV")
-    grid_p.add_argument("--progress", action="store_true",
-                        help="report per-cell progress on stderr")
-    grid_p.add_argument("--engine", choices=("auto", "batch", "object"),
-                        default="auto",
-                        help="run loop per cell (observably identical; "
-                        "'auto' picks the vectorized batch kernel when "
-                        "the cell is batch-eligible and about 20 or more "
-                        "slots end per tick)")
-    grid_p.add_argument("--trace", metavar="PATH", default=None,
-                        help="record a flight-recorder trace of the grid "
-                        "(pool dispatch, attempts, cache, per-cell sim "
-                        "phases) as Chrome trace-event JSON")
+    _option_flags(grid_p, "backlog_stride", "jobs", "no_cache", "cache_dir",
+                  "task_timeout", "retries", "journal", "resume", "csv",
+                  "progress", "engine", "trace", switches=True)
     grid_p.set_defaults(handler=_cmd_grid)
 
     trace_p = sub.add_parser(
@@ -1030,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the spec's horizon")
     srun_p.add_argument("--seed", type=int, default=None,
                         help="override the spec's seed")
-    _obs_flags(srun_p)
+    _run_flags(srun_p)
     srun_p.set_defaults(handler=_cmd_scenario_run)
 
     serve_p = sub.add_parser(
@@ -1042,8 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "has no authentication)")
     serve_p.add_argument("--port", type=int, default=8765,
                          help="TCP port (0 = pick a free one)")
-    serve_p.add_argument("--cache-dir", default=".repro-cache",
-                         help="result cache + history database directory")
+    _option_flags(serve_p, "cache_dir")
     serve_p.add_argument("--quiet", action="store_true",
                          help="suppress per-request access logging")
     serve_p.set_defaults(handler=_cmd_serve)
@@ -1068,16 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override a scenario file's horizon")
     submit_p.add_argument("--seed", type=int, default=None,
                           help="override a scenario file's seed")
-    submit_p.add_argument("--engine", choices=("auto", "batch", "object"),
-                          default="auto",
-                          help="run loop for a scenario-file submission")
-    submit_p.add_argument("--timebase",
-                          choices=("auto", "lattice", "fraction"),
-                          default="auto",
-                          help="time representation for a scenario-file "
-                          "submission")
-    submit_p.add_argument("--metrics", action="store_true",
-                          help="attach the metric instruments daemon-side")
+    _option_flags(submit_p, "engine", "timebase", "metrics")
     submit_p.set_defaults(handler=_cmd_submit)
 
     bench_p = sub.add_parser("bench", help="benchmark artifact tooling")
@@ -1107,8 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(regenerate with --quick so CI row counts match)")
     bperf_p.add_argument("--baseline-dir", default="benchmarks/baselines",
                          help="baseline directory for --update-baseline")
-    bperf_p.add_argument("--trace", metavar="PATH", default=None,
-                         help="record a flight-recorder trace of the suite")
+    _option_flags(bperf_p, "trace")
     bperf_p.set_defaults(handler=_cmd_bench_perf)
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
@@ -1119,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "re-hash every entry; quarantine corrupt ones"),
     ):
         cache_cmd = cache_sub.add_parser(name, help=blurb)
-        cache_cmd.add_argument("--cache-dir", default=".repro-cache")
+        _option_flags(cache_cmd, "cache_dir")
         cache_cmd.set_defaults(handler=_cmd_cache)
 
     sst_p = sub.add_parser("sst", help="leader election / SST")
@@ -1128,7 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
     sst_p.add_argument("--max-slot", default="2")
     sst_p.add_argument("--schedule", default="worst")
     sst_p.add_argument("--seed", type=int, default=0)
-    sst_p.add_argument("--max-events", type=int, default=2_000_000)
+    _option_flags(sst_p, "max_events")
     sst_p.set_defaults(handler=_cmd_sst)
 
     adv_p = sub.add_parser("adversary", help="run a theorem construction")
@@ -1166,6 +1122,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except (ConfigurationError, JournalMismatch, ServiceError) as exc:
+        # The service names what it rejected (``options.jobs: ...``):
+        # one line on stderr and exit status 1, never a traceback.
+        raise SystemExit(str(exc)) from None
     except KeyboardInterrupt:
         # Interrupted runs exit promptly but nonzero; any grid journal
         # keeps its completed cells for a follow-up --resume.

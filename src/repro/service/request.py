@@ -35,10 +35,12 @@ from ..scenarios import ScenarioSpec
 
 __all__ = [
     "COMMANDS",
+    "ENGINES",
     "OPTION_FIELDS",
     "SERVICE_SCHEMA_VERSION",
     "RunOptions",
     "RunRequest",
+    "TIMEBASES",
     "options_from_args",
 ]
 
@@ -48,8 +50,9 @@ SERVICE_SCHEMA_VERSION = 1
 #: The commands a request may name, in CLI order.
 COMMANDS = ("run", "grid", "sst")
 
-_ENGINES = ("auto", "batch", "object")
-_TIMEBASES = ("auto", "lattice", "fraction")
+#: The ``engine`` and ``timebase`` values an option block may name.
+ENGINES = ("auto", "batch", "object")
+TIMEBASES = ("auto", "lattice", "fraction")
 
 #: Top-level keys accepted by :meth:`RunRequest.from_json`.
 _REQUEST_KEYS = ("request", "command", "spec", "specs", "options")
@@ -112,13 +115,13 @@ class RunOptions:
 
     def __post_init__(self) -> None:
         _require(
-            self.engine in _ENGINES,
-            f"options.engine: expected one of {'/'.join(_ENGINES)}, "
+            self.engine in ENGINES,
+            f"options.engine: expected one of {'/'.join(ENGINES)}, "
             f"got {self.engine!r}",
         )
         _require(
-            self.timebase in _TIMEBASES,
-            f"options.timebase: expected one of {'/'.join(_TIMEBASES)}, "
+            self.timebase in TIMEBASES,
+            f"options.timebase: expected one of {'/'.join(TIMEBASES)}, "
             f"got {self.timebase!r}",
         )
         _require(
@@ -335,35 +338,16 @@ class RunRequest:
 def options_from_args(args: argparse.Namespace) -> RunOptions:
     """The one CLI→options resolver, shared by every subcommand.
 
-    Each subcommand defines only the flags it supports; everything it
-    does not define falls back to the :class:`RunOptions` default.
-    This is the single place the flag names map onto option fields, so
-    the CLI and the service cannot drift.
+    A run-option flag's dest is its :data:`OPTION_FIELDS` name, so the
+    options are read back by field; a field whose flag a subcommand
+    does not define keeps the :class:`RunOptions` default.  ``grid``'s
+    two switches are the exceptions: ``--no-cache`` turns off the cache
+    grids otherwise use, and ``--progress`` asks for every cell.
     """
-    progress = getattr(args, "progress", 0)
-    if isinstance(progress, bool):  # grid's --progress is a switch
-        progress = 1 if progress else 0
-    # Subcommands without --no-cache never cached; grid caches unless
-    # the user opted out.
-    no_cache = getattr(args, "no_cache", None)
-    cache = False if no_cache is None else not no_cache
-    defaults = RunOptions()
-    return RunOptions(
-        engine=getattr(args, "engine", defaults.engine),
-        timebase=getattr(args, "timebase", defaults.timebase),
-        jobs=getattr(args, "jobs", defaults.jobs),
-        cache=cache,
-        cache_dir=getattr(args, "cache_dir", defaults.cache_dir),
-        backlog_stride=getattr(args, "backlog_stride", defaults.backlog_stride),
-        task_timeout=getattr(args, "task_timeout", defaults.task_timeout),
-        retries=getattr(args, "retries", defaults.retries),
-        journal=getattr(args, "journal", defaults.journal),
-        resume=getattr(args, "resume", defaults.resume),
-        trace=getattr(args, "trace", defaults.trace),
-        metrics=getattr(args, "metrics", defaults.metrics),
-        profile=getattr(args, "profile", defaults.profile),
-        progress=progress,
-        emit_jsonl=getattr(args, "emit_jsonl", defaults.emit_jsonl),
-        csv=getattr(args, "csv", defaults.csv),
-        max_events=getattr(args, "max_events", defaults.max_events),
-    )
+    given = vars(args)
+    values = {name: given[name] for name in OPTION_FIELDS if name in given}
+    if "no_cache" in given:
+        values["cache"] = not given["no_cache"]
+    if isinstance(values.get("progress"), bool):
+        values["progress"] = int(values["progress"])
+    return RunOptions(**values)
