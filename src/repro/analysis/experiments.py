@@ -213,6 +213,21 @@ def emit_phase_spans(
         cursor += duration_us
 
 
+def trace_profiler(sim: Simulator) -> Optional[PhaseProfiler]:
+    """The profiler behind a traced run's ``sim.*`` spans, or ``None``.
+
+    Per-phase timers exist only in the object loop.  The profiler is
+    attached after engine resolution, so it never demotes a run: a run
+    that resolved to the batch kernel is traced without ``sim.*`` spans.
+    A run that already carries a profiler (``--profile``) reuses it.
+    """
+    if sim.engine != "object":
+        return None
+    if sim.profiler is None:
+        sim.profiler = PhaseProfiler()
+    return sim.profiler
+
+
 def _execute_cell(
     cell: ExperimentCell,
     backlog_stride: int,
@@ -221,23 +236,17 @@ def _execute_cell(
 ) -> "tuple[CellResult, Optional[Dict[str, Any]]]":
     """Run one cell; optionally carry a worker-side metrics pack.
 
-    With a tracer active the run is wrapped in a ``cell`` span and a
-    :class:`PhaseProfiler` is attached so the simulator's phase totals
-    become ``sim.*`` child spans.  Per-phase timing is object-path
-    only, so the profiler keeps ``engine="auto"`` cells on the object
-    loop; forcing ``engine="batch"`` trades the ``sim.*`` spans for the
-    vectorized kernel instead of raising.
+    With a tracer active the run is wrapped in a ``cell`` span, and a
+    cell on the object loop gets its phase totals as ``sim.*`` child
+    spans (see :func:`trace_profiler`).
     """
     tracer = current_tracer()
     if tracer is None:
-        return _execute_cell_impl(cell, backlog_stride, with_metrics, None, engine)
+        return _execute_cell_impl(cell, backlog_stride, with_metrics, engine)
     with tracer.span("cell", cell=cell.name) as span:
-        profiler = None if engine == "batch" else PhaseProfiler()
         result, snapshot = _execute_cell_impl(
-            cell, backlog_stride, with_metrics, profiler, engine
+            cell, backlog_stride, with_metrics, engine, span
         )
-        if profiler is not None:
-            emit_phase_spans(tracer, span, profiler)
         span.set(
             stable=result.stable,
             delivered=result.metrics.delivered,
@@ -250,8 +259,8 @@ def _execute_cell_impl(
     cell: ExperimentCell,
     backlog_stride: int,
     with_metrics: bool,
-    profiler: Optional[PhaseProfiler],
     engine: str = "auto",
+    span: Optional[Span] = None,
 ) -> "tuple[CellResult, Optional[Dict[str, Any]]]":
     from ..obs import ProbeBus, SimulationMetrics
 
@@ -268,11 +277,13 @@ def _execute_cell_impl(
         arrival_source=cell.arrival_source(),
         trace=trace,
         probes=bus,
-        profiler=profiler,
         engine=engine,
     )
+    profiler = trace_profiler(sim) if span is not None else None
     horizon = as_time(cell.horizon)
     sim.run(until_time=horizon)
+    if profiler is not None:
+        emit_phase_spans(current_tracer(), span, profiler)
     samples = trace.backlog_series()
     samples.append((sim.now, sim.total_backlog))
     verdict = assess_stability(samples, horizon, tolerance=5)

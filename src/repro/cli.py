@@ -251,8 +251,7 @@ def _run_spec(spec: ScenarioSpec, args: argparse.Namespace) -> int:
         specs=(spec,), command="run", options=options_from_args(args)
     )
     with _tracing(args.trace):
-        result = execute(request)
-    _render_run(spec, result, args)
+        _render_run(spec, execute(request), args)
     return 0
 
 

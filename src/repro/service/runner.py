@@ -38,7 +38,13 @@ from dataclasses import dataclass
 from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..analysis import abs_slot_upper_bound, collect_metrics, write_csv
-from ..analysis.experiments import ExperimentCell, GridReport, run_grid_report
+from ..analysis.experiments import (
+    ExperimentCell,
+    GridReport,
+    emit_phase_spans,
+    run_grid_report,
+    trace_profiler,
+)
 from ..analysis.metrics import RunMetrics
 from ..core import Trace
 from ..core.errors import ConfigurationError
@@ -323,15 +329,17 @@ def _execute_run(
     if options.metrics or emitting:
         sim_metrics = SimulationMetrics()
         sim_metrics.attach(bus)
-    tracer = current_tracer()
-    # With the flight recorder on, always profile: the per-phase totals
-    # become the trace's sim.* spans (reported only under --profile).
-    profiler = PhaseProfiler() if (options.profile or tracer is not None) else None
+    profiler = PhaseProfiler() if options.profile else None
     sim = spec.build(
         trace=Trace(backlog_stride=8), probes=bus, profiler=profiler,
         timebase=options.timebase,
         engine=options.engine,
     )
+    tracer = current_tracer()
+    if tracer is not None:
+        # The trace's sim.* spans, on the object loop only (reported as
+        # profile lines only under --profile).
+        profiler = trace_profiler(sim)
     manifest = None
     if emitting:
         manifest = RunManifest.create(
@@ -382,8 +390,6 @@ def _execute_run(
         raise
     if run_span is not None:
         if profiler is not None:
-            from ..analysis.experiments import emit_phase_spans
-
             emit_phase_spans(tracer, run_span, profiler)
         tracer.end(run_span, horizon=str(spec.horizon))
     wall_s = time.perf_counter() - started

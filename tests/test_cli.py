@@ -391,6 +391,19 @@ class TestTraceFlagAndCommand:
         traced = capsys.readouterr().out
         assert traced.replace(f"trace: {tmp_path / 't.json'}\n", "") == plain
 
+    def test_trace_keeps_a_wide_run_on_batch(self, tmp_path, capsys):
+        """Tracing observes a run without moving a batch-eligible one to
+        the object loop; --profile still demotes it, and says why."""
+        pytest.importorskip("numpy")
+        args = ["run", "--algorithm", "rrw", "--n", "1000", "--rho", "1/2",
+                "--schedule", "sync", "--horizon", "20", "--verbose-engine"]
+        assert main(args + ["--trace", str(tmp_path / "t.json")]) == 0
+        assert "engine:         batch/" in capsys.readouterr().out
+        assert main(args + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "engine:         object/" in out
+        assert "(a PhaseProfiler is attached" in out
+
     def test_grid_trace_and_summarize(self, tmp_path, capsys):
         trace = tmp_path / "grid-trace.json"
         code = main(

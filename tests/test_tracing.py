@@ -300,6 +300,25 @@ class TestGridTracing:
             [(1, "timeout"), (2, "ok")],
         ]
 
+    def test_traced_wide_cell_stays_on_batch(self, tracer):
+        """A traced ``engine="auto"`` grid keeps a wide cell on the batch
+        kernel; only the object-loop cell gets ``sim.*`` spans."""
+        pytest.importorskip("numpy")
+        from repro.scenarios import ScenarioSpec
+
+        wide = ExperimentCell.from_spec(ScenarioSpec(
+            algorithm="rrw", n=1000, rho="1/2", schedule="sync", horizon=20,
+            name="wide",
+        ))
+        report = run_grid_report([wide, cell(name="narrow")], engine="auto")
+        assert [r.engine for r in report.results] == ["batch", "object"]
+        spans = tracer.spans()
+        cells = {s["args"]["cell"]: s["id"] for s in spans if s["name"] == "cell"}
+        phase_parents = {
+            s["parent"] for s in spans if s["name"].startswith("sim.")
+        }
+        assert phase_parents == {cells["narrow"]}
+
     def test_traced_results_identical_to_untraced(self, tracer):
         cells = [cell(name="a"), cell(name="b", rho="7/10")]
         traced = run_grid_report(cells)
