@@ -36,7 +36,8 @@ executing.
 
 Client-supplied *paths* never touch the server's filesystem: incoming
 options are sanitized — artifact/trace/csv/journal paths dropped, the
-cache pinned to the daemon's own directory — before planning.  Bind to
+cache pinned to the daemon's own directory, and progress and profiling,
+whose reports never leave the daemon, switched off — before planning.  Bind to
 localhost (the default) unless you trust the network; there is no
 authentication layer.
 """
@@ -78,8 +79,9 @@ def _sanitize(request: RunRequest, cache_dir: str) -> RunRequest:
     The daemon decides where artifacts, caches and journals live; a
     remote request must not be able to write (or resume from) an
     arbitrary server path.  Tracing and progress are per-process
-    facilities that make no sense over the wire, so they are dropped
-    too.
+    facilities that make no sense over the wire, and the daemon sends
+    no profile report, so all three are dropped too: a run must not
+    pay per-event clock reads for a report nobody receives.
     """
     return request.replace_options(
         emit_jsonl=None,
@@ -88,6 +90,7 @@ def _sanitize(request: RunRequest, cache_dir: str) -> RunRequest:
         journal=None,
         resume=False,
         progress=0,
+        profile=False,
         cache_dir=cache_dir,
         cache=request.command == "grid",
     )

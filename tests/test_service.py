@@ -347,6 +347,27 @@ class TestServer:
         assert not (tmp_path / "evil.jsonl").exists()
         assert not (tmp_path / "t.json").exists()
 
+    def test_profile_is_dropped(self, daemon, monkeypatch):
+        """The daemon sends no profile report, so a submitted
+        ``"profile": true`` must not make the run pay for one."""
+        _, url = daemon
+        from repro.service import server as server_module
+
+        executed = []
+        real_execute = server_module.execute
+
+        def spy(request, **kwargs):
+            executed.append(request.options)
+            return real_execute(request, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute", spy)
+        request = RunRequest(
+            specs=(_spec(seed=5),), options=RunOptions(profile=True)
+        )
+        envelope = submit_request(url, request, timeout=30)
+        assert envelope["status"] == "ok"
+        assert [options.profile for options in executed] == [False]
+
     def test_unknown_endpoint_404(self, daemon):
         _, url = daemon
         with pytest.raises(ServiceError, match="no such endpoint"):
