@@ -38,14 +38,7 @@ from math import lcm
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..obs.probes import (
-    ArrivalEvent,
-    DeliveryEvent,
-    FeedbackEvent,
-    ProbeBus,
-    SlotBeginEvent,
-    SlotEndEvent,
-)
+from ..obs.probes import ArrivalEvent, DeliveryEvent, ProbeBus, SlotEndEvent
 from .channel import Channel
 from .collector import collector_paused
 from .errors import ConfigurationError, ProtocolError, SimulationError
@@ -126,9 +119,9 @@ class Simulator:
             analyses that walk the success record (phase segmentation,
             figure rendering).  Leave off for long stability runs.
         probes: Optional :class:`~repro.obs.probes.ProbeBus`.  The
-            simulator fires ``slot_begin`` / ``slot_end`` / ``feedback``
-            / ``arrival`` / ``delivery`` events on it (and the channel
-            fires ``collision``); with no bus — or a bus nobody
+            simulator fires ``slot_end`` / ``arrival`` / ``delivery``
+            events on it (and the channel fires ``collision``); with no
+            bus — or a bus nobody
             subscribed to — the per-slot cost is a single attribute
             check per probe point.
         profiler: Optional :class:`~repro.obs.profiling.PhaseProfiler`;
@@ -587,18 +580,6 @@ class Simulator:
             runtime.aboard_packet = aboard
             self.channel.begin_transmission(runtime.station_id, interval, aboard)
         heapq.heappush(self._event_heap, (end, runtime.station_id))
-        probes = self.probes
-        if probes is not None and probes.slot_begin and action is not None:
-            timebase = self._timebase
-            event = SlotBeginEvent(
-                station_id=runtime.station_id,
-                slot_index=runtime.slot_index,
-                start=timebase.to_public(start),
-                length=timebase.to_public(length),
-                action=action,
-            )
-            for callback in probes.slot_begin:
-                callback(event)
 
     def _start(self) -> None:
         """Open every station's first slot at time 0."""
@@ -655,15 +636,6 @@ class Simulator:
             profiler.add("channel", perf_counter() - began)
         probes = self.probes
         timebase = self._timebase
-        if probes is not None and probes.feedback:
-            event = FeedbackEvent(
-                station_id=sid,
-                slot_index=runtime.slot_index,
-                at=timebase.to_public(end_time),
-                feedback=feedback,
-            )
-            for callback in probes.feedback:
-                callback(event)
 
         delivered = False
         if (

@@ -3,7 +3,7 @@
 The window into a running simulation.  Four layers, composable but
 independently usable:
 
-* :mod:`repro.obs.probes` — the :class:`ProbeBus` and its six event
+* :mod:`repro.obs.probes` — the :class:`ProbeBus` and its four event
   types; the simulator fires them at named hook points with near-zero
   cost when nobody listens.
 * :mod:`repro.obs.metrics` — counters / gauges / windowed histograms in
@@ -59,9 +59,7 @@ from .probes import (
     ArrivalEvent,
     CollisionEvent,
     DeliveryEvent,
-    FeedbackEvent,
     ProbeBus,
-    SlotBeginEvent,
     SlotEndEvent,
 )
 from .history import (
@@ -88,7 +86,6 @@ __all__ = [
     "CollisionEvent",
     "Counter",
     "DeliveryEvent",
-    "FeedbackEvent",
     "Gauge",
     "HistoryEntry",
     "Histogram",
@@ -102,7 +99,6 @@ __all__ = [
     "RunHistory",
     "RunManifest",
     "SimulationMetrics",
-    "SlotBeginEvent",
     "SlotEndEvent",
     "Span",
     "Tracer",

@@ -282,15 +282,11 @@ class SimulationMetrics:
     * events/sec wall-clock throughput via :meth:`events_per_second`.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        slot_length_window: Optional[int] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         reg = self.registry
         self._slots = reg.counter("slots")
-        self._slot_length = reg.histogram("slot_length", window=slot_length_window)
+        self._slot_length = reg.histogram("slot_length")
         self._feedback = {
             kind: reg.counter(f"feedback.{kind}") for kind in ("ack", "silence", "busy")
         }
@@ -302,9 +298,9 @@ class SimulationMetrics:
         self._backlog.set(0)
         self._queues: Dict[int, Gauge] = {}
         # The timebase of the run being observed, and the slot-length
-        # tally in its units (None when the histogram is windowed).
+        # tally in its units.
         self._timebase: Any = None
-        self._lengths: Optional[Dict[Any, int]] = None
+        self._lengths: Dict[Any, int] = {}
         self._wall_start: Optional[float] = None
         self._wall_last: Optional[float] = None
         self._detach: Optional[Callable[[], None]] = None
@@ -313,24 +309,20 @@ class SimulationMetrics:
 
     def _use_timebase(self, timebase: Any) -> None:
         self._timebase = timebase
-        if self._slot_length.window is None:
-            # Internal units are ticks of 1/D on a lattice and exact
-            # Fractions (units of 1/1) otherwise.
-            self._lengths = self._slot_length.scaled_counts(
-                timebase.denominator or 1
-            )
+        # Internal units are ticks of 1/D on a lattice and exact
+        # Fractions (units of 1/1) otherwise.
+        self._lengths = self._slot_length.scaled_counts(
+            timebase.denominator or 1
+        )
 
     def _on_slot_end(self, event: SlotEndEvent) -> None:
         self._slots.value += 1
         if event.timebase is not self._timebase:
             self._use_timebase(event.timebase)
         lengths = self._lengths
-        if lengths is None:
-            self._slot_length.observe(event.interval.duration)
-        else:
-            span = event.internal_interval
-            length = span.end - span.start
-            lengths[length] = lengths.get(length, 0) + 1
+        span = event.internal_interval
+        length = span.end - span.start
+        lengths[length] = lengths.get(length, 0) + 1
         # A Feedback member's value is its lower-cased name.
         self._feedback[event.feedback._value_].value += 1
         self._backlog.set(event.backlog)

@@ -1,15 +1,13 @@
 """Probe layer: named hook points inside the simulator, zero-cost when idle.
 
-The :class:`~repro.core.simulator.Simulator` exposes six *probe points*
-— moments in the event loop where observers may attach:
+The :class:`~repro.core.simulator.Simulator` and its channel expose
+four *probe points* — moments in the event loop where observers may
+attach:
 
 ========== =========================================================
 event      fired
 ========== =========================================================
-slot_begin a station's next slot opens (length already fixed)
 slot_end   a station's slot closed and its feedback was computed
-feedback   feedback for a closed slot (subset of slot_end payload,
-           for subscribers that only care about the channel's answer)
 arrival    the arrival adversary injected a packet
 delivery   a packet's transmission was acknowledged
 collision  a transmission was overlapped for the first time (counts
@@ -46,25 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->obs cycle
 
 
 #: The probe point names, in rough firing order within one slot.
-PROBE_EVENTS: Tuple[str, ...] = (
-    "slot_begin",
-    "slot_end",
-    "feedback",
-    "arrival",
-    "delivery",
-    "collision",
-)
-
-
-@dataclass(slots=True)
-class SlotBeginEvent:
-    """A station's slot just opened; its adversarial length is fixed."""
-
-    station_id: int
-    slot_index: int
-    start: "Time"
-    length: "Fraction"
-    action: "Action"
+PROBE_EVENTS: Tuple[str, ...] = ("slot_end", "arrival", "delivery", "collision")
 
 
 @dataclass(slots=True)
@@ -96,16 +76,6 @@ class SlotEndEvent:
     def interval(self) -> "Interval":
         """The slot in exact public time."""
         return self.timebase.interval_public(self.internal_interval)
-
-
-@dataclass(slots=True)
-class FeedbackEvent:
-    """The channel's per-slot answer, stripped of algorithm context."""
-
-    station_id: int
-    slot_index: int
-    at: "Time"
-    feedback: "Feedback"
 
 
 @dataclass(slots=True)

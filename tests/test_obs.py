@@ -117,30 +117,6 @@ class TestProbeCompleteness:
         assert sim.channel.stats.collisions > 0
         assert len(collisions) == sim.channel.stats.collisions
 
-    def test_slot_begin_matches_slot_end(self):
-        bus = ProbeBus()
-        begins, ends = [], []
-        bus.subscribe("slot_begin", begins.append)
-        bus.subscribe("slot_end", ends.append)
-        sim = _build(probes=bus)
-        sim.run(max_events=200)
-        # Every ended slot began; open slots (one per station) remain.
-        assert len(begins) == len(ends) + sim.n_stations
-        by_station = {}
-        for event in begins:
-            by_station.setdefault(event.station_id, []).append(event.slot_index)
-        for indices in by_station.values():
-            assert indices == list(range(len(indices)))
-
-    def test_feedback_probe_mirrors_slot_end_feedback(self):
-        bus = ProbeBus()
-        feedbacks, ends = [], []
-        bus.subscribe("feedback", feedbacks.append)
-        bus.subscribe("slot_end", ends.append)
-        sim = _build(probes=bus)
-        sim.run(max_events=150)
-        assert [f.feedback for f in feedbacks] == [e.feedback for e in ends]
-
     def test_unsubscribe_stops_delivery(self):
         bus = ProbeBus()
         seen = []
