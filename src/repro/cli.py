@@ -110,8 +110,6 @@ from .obs import (
 from .scenarios import ALGORITHMS, FAULTS, SCHEDULES, SOURCES, ScenarioSpec, load_spec
 from .service import (
     COMMANDS,
-    ENGINES,
-    TIMEBASES,
     RunOptions,
     RunRequest,
     RunResult,
@@ -119,6 +117,7 @@ from .service import (
     execute,
     options_from_args,
 )
+from .service.request import ENGINES, TIMEBASES
 
 #: Where the bundled scenario files live, relative to the repo root.
 BUNDLED_SCENARIOS_DIR = "scenarios"

@@ -34,12 +34,10 @@ the daemon's streamed artifacts are record-identical to a local
 
 from .request import (
     COMMANDS,
-    ENGINES,
     OPTION_FIELDS,
     SERVICE_SCHEMA_VERSION,
     RunOptions,
     RunRequest,
-    TIMEBASES,
     options_from_args,
 )
 from .runner import RunPlan, RunResult, execute, plan
@@ -48,7 +46,6 @@ from .server import create_server, serve_forever
 
 __all__ = [
     "COMMANDS",
-    "ENGINES",
     "OPTION_FIELDS",
     "RunOptions",
     "RunPlan",
@@ -56,7 +53,6 @@ __all__ = [
     "RunResult",
     "SERVICE_SCHEMA_VERSION",
     "ServiceError",
-    "TIMEBASES",
     "create_server",
     "execute",
     "fetch_version",
