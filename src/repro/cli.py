@@ -77,7 +77,7 @@ import json
 import pathlib
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .algorithms import ABSLeaderElection, NaiveTDMA
 from .analysis import (
@@ -177,37 +177,26 @@ def _dynamic_algorithm_or_exit(name: str) -> None:
         )
 
 
-def _flag_specs(
+def _flag_spec(
     args: argparse.Namespace,
-    algorithms: Sequence[str],
-    rhos: Sequence[str],
-    *,
-    labelled: bool = False,
-) -> Tuple[ScenarioSpec, ...]:
-    """The specs the shared scenario flags describe, algorithm x rho.
-
-    ``run`` builds one; ``grid`` builds one per cell, labelled with its
-    algorithm and rho (the report's columns).
-    """
-    faults = tuple(_parse_fault_flag(text) for text in (args.faults or ()))
-    specs = []
-    for algorithm in algorithms:
-        _dynamic_algorithm_or_exit(algorithm)
-        for rho in rhos:
-            labels = {"algorithm": algorithm, "rho": rho} if labelled else {}
-            specs.append(ScenarioSpec(
-                algorithm=algorithm,
-                n=args.n,
-                max_slot=args.max_slot,
-                schedule=args.schedule,
-                rho=rho,
-                burst=args.burst,
-                horizon=args.horizon,
-                seed=args.seed,
-                faults=faults,
-                labels=labels,
-            ))
-    return tuple(specs)
+    algorithm: str,
+    rho: str,
+    labels: Optional[Dict[str, str]] = None,
+) -> ScenarioSpec:
+    """One spec from the shared scenario flags: ``run``, or a ``grid`` cell."""
+    _dynamic_algorithm_or_exit(algorithm)
+    return ScenarioSpec(
+        algorithm=algorithm,
+        n=args.n,
+        max_slot=args.max_slot,
+        schedule=args.schedule,
+        rho=rho,
+        burst=args.burst,
+        horizon=args.horizon,
+        seed=args.seed,
+        faults=tuple(_parse_fault_flag(text) for text in (args.faults or ())),
+        labels=labels or {},
+    )
 
 
 def _file_spec(path: str, args: argparse.Namespace) -> ScenarioSpec:
@@ -290,8 +279,7 @@ def _render_run(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    (spec,) = _flag_specs(args, [args.algorithm], [args.rho])
-    return _run_spec(spec, args)
+    return _run_spec(_flag_spec(args, args.algorithm, args.rho), args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -382,8 +370,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     def names(text: str) -> List[str]:
         return [name.strip() for name in text.split(",") if name.strip()]
 
-    specs = _flag_specs(
-        args, names(args.algorithms), names(args.rhos), labelled=True
+    # Each cell carries its algorithm and rho as labels (the report's
+    # columns).
+    specs = tuple(
+        _flag_spec(args, algorithm, rho, {"algorithm": algorithm, "rho": rho})
+        for algorithm in names(args.algorithms)
+        for rho in names(args.rhos)
     )
     request = RunRequest(
         specs=specs, command="grid", options=options_from_args(args)

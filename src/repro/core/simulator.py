@@ -121,9 +121,8 @@ class Simulator:
         probes: Optional :class:`~repro.obs.probes.ProbeBus`.  The
             simulator fires ``slot_end`` / ``arrival`` / ``delivery``
             events on it (and the channel fires ``collision``); with no
-            bus — or a bus nobody
-            subscribed to — the per-slot cost is a single attribute
-            check per probe point.
+            bus — or a bus nobody subscribed to — the per-slot cost is
+            a single attribute check per probe point.
         profiler: Optional :class:`~repro.obs.profiling.PhaseProfiler`;
             when present, wall time of adversary calls, channel feedback
             resolution and algorithm steps is attributed per phase.

@@ -37,9 +37,9 @@ executing.
 Client-supplied *paths* never touch the server's filesystem: incoming
 options are sanitized — artifact/trace/csv/journal paths dropped, the
 cache pinned to the daemon's own directory, and progress and profiling,
-whose reports never leave the daemon, switched off — before planning.  Bind to
-localhost (the default) unless you trust the network; there is no
-authentication layer.
+whose reports never leave the daemon, switched off — before planning.
+Bind to localhost (the default) unless you trust the network; there is
+no authentication layer.
 """
 
 from __future__ import annotations
