@@ -10,10 +10,15 @@ records are seen line-by-line while the simulation is still running
 lines that can be the envelope or an in-band error — those containing
 ``service`` or ``error`` — are parsed; every other line goes to the
 output stream verbatim.
+
+The daemon ends every stream with its envelope or an in-band error, so
+a stream that ends without either was cut (say, the daemon died): that
+is an error, never a success.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -52,7 +57,9 @@ def submit_request(
     ``service`` record is returned as a dict with the response's
     ``X-Repro-Served-From`` header folded in as ``served_from``.
     Raises :class:`ServiceError` on any transport or daemon error —
-    including an in-band ``{"type": "error"}`` record.
+    including an in-band ``{"type": "error"}`` record, a connection
+    that fails mid-stream and a stream that ends without its envelope;
+    the message says how many records had been passed on by then.
     """
     body = request.to_json(indent=None).encode("utf-8")
     http_request = urllib.request.Request(
@@ -68,9 +75,20 @@ def submit_request(
     except urllib.error.URLError as exc:
         raise ServiceError(f"cannot reach {url}: {exc.reason}") from None
     envelope: Optional[Dict[str, Any]] = None
+    records = 0
     with response:
         served_from = response.headers.get("X-Repro-Served-From", "")
-        for raw in response:
+        lines = iter(response)
+        while True:
+            try:
+                raw = next(lines, b"")
+            except (http.client.HTTPException, OSError) as exc:
+                raise ServiceError(
+                    f"the stream from {url} broke after {records} record(s): "
+                    f"{exc!r}"
+                ) from None
+            if not raw:
+                break
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
@@ -87,8 +105,12 @@ def submit_request(
                     raise ServiceError(str(record.get("error", "daemon error")))
             if out is not None:
                 out.write(line if line.endswith("\n") else line + "\n")
+            records += 1
     if envelope is None:
-        envelope = {"type": "service", "status": "ok"}
+        raise ServiceError(
+            f"the stream from {url} ended without its envelope after "
+            f"{records} record(s); the run's result is unknown"
+        )
     envelope.setdefault("served_from", served_from or "exec")
     return envelope
 

@@ -9,12 +9,18 @@ a daemon's stream ahead of the in-band ``error`` record.
 The client parses only the lines that can be the daemon's envelope or
 an in-band error and passes every other line through verbatim; names
 that contain those words must not change what it returns or writes.
+A stream cut before its envelope is an error, wherever the cut falls.
 """
 
 import gc
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -208,3 +214,107 @@ class TestClientPassThrough:
         local = execute(request.replace_options(cache=False))
         assert [row["delivered"] for row in rows] == \
             [cell.as_row()["delivered"] for cell in local.report.results]
+
+
+class _Replay(BaseHTTPRequestHandler):
+    """Sends the server's recorded chunks, then drops the connection:
+    after ``cut`` whole chunks and ``partial`` bytes of the next one."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+    def do_POST(self):  # noqa: N802 - http.server naming
+        self.rfile.read(int(self.headers["Content-Length"]))
+        chunks, cut, partial = (
+            self.server.chunks, self.server.cut, self.server.partial
+        )
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        for data in chunks[:cut]:
+            self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
+        if partial:
+            data = chunks[cut]
+            self.wfile.write(b"%X\r\n%s" % (len(data), data[:partial]))
+        self.close_connection = True
+
+
+@pytest.fixture()
+def recorded_stream(daemon, monkeypatch):
+    """The chunks a real daemon sends for one run, envelope last."""
+    from repro.service import server as server_module
+
+    chunks = []
+    write = server_module._ChunkedWriter.write
+
+    def recording(self, text):
+        chunks.append(text.encode("utf-8"))
+        return write(self, text)
+
+    monkeypatch.setattr(server_module._ChunkedWriter, "write", recording)
+    _, url = daemon
+    request = RunRequest(specs=(_spec(),))
+    submit_request(url, request, out=io.StringIO(), timeout=60)
+    assert b'"type": "service"' in chunks[-1] and len(chunks) >= 3
+    return request, chunks
+
+
+@pytest.fixture()
+def replay():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Replay)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _received(chunks, cut, partial):
+    """The whole records a client has read when the stream stops."""
+    data = b"".join(chunks[:cut]) + chunks[cut][:partial]
+    return data[:data.rfind(b"\n") + 1]
+
+
+class TestCutStream:
+    def test_every_cut_is_an_error(self, recorded_stream, replay):
+        request, chunks = recorded_stream
+        server, url = replay
+        server.chunks = chunks
+        cuts = [(cut, 0) for cut in range(len(chunks))]
+        cuts.append((1, len(chunks[1]) // 2))
+        for server.cut, server.partial in cuts:
+            out = io.StringIO()
+            received = _received(chunks, server.cut, server.partial)
+            sent = received.count(b"\n")
+            with pytest.raises(ServiceError, match=f"after {sent} record"):
+                submit_request(url, request, out=out, timeout=60)
+            assert out.getvalue().encode("utf-8") == received
+
+    def test_submit_exits_1_with_one_line(self, recorded_stream, replay,
+                                          tmp_path):
+        request, chunks = recorded_stream
+        server, url = replay
+        server.chunks, server.cut, server.partial = chunks, 2, 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(request.specs[0].to_json(), encoding="utf-8")
+        out_path = tmp_path / "out.jsonl"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "submit", str(spec_path),
+             "--url", url, "--out", str(out_path), "--timeout", "60"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        received = _received(chunks, 2, 0)
+        sent = received.count(b"\n")
+        [line] = completed.stderr.splitlines()
+        assert f"after {sent} record(s)" in line
+        assert out_path.read_bytes() == received
