@@ -41,7 +41,6 @@ import csv
 import functools
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import (
     Any,
@@ -229,12 +228,9 @@ def trace_profiler(sim: Simulator) -> Optional[PhaseProfiler]:
 
 
 def _execute_cell(
-    cell: ExperimentCell,
-    backlog_stride: int,
-    with_metrics: bool,
-    engine: str = "auto",
-) -> "tuple[CellResult, Optional[Dict[str, Any]]]":
-    """Run one cell; optionally carry a worker-side metrics pack.
+    cell: ExperimentCell, backlog_stride: int, engine: str = "auto"
+) -> CellResult:
+    """Run one cell.
 
     With a tracer active the run is wrapped in a ``cell`` span, and a
     cell on the object loop gets its phase totals as ``sim.*`` child
@@ -242,33 +238,23 @@ def _execute_cell(
     """
     tracer = current_tracer()
     if tracer is None:
-        return _execute_cell_impl(cell, backlog_stride, with_metrics, engine)
+        return _execute_cell_impl(cell, backlog_stride, engine)
     with tracer.span("cell", cell=cell.name) as span:
-        result, snapshot = _execute_cell_impl(
-            cell, backlog_stride, with_metrics, engine, span
-        )
+        result = _execute_cell_impl(cell, backlog_stride, engine, span)
         span.set(
             stable=result.stable,
             delivered=result.metrics.delivered,
             engine=result.engine,
         )
-        return result, snapshot
+        return result
 
 
 def _execute_cell_impl(
     cell: ExperimentCell,
     backlog_stride: int,
-    with_metrics: bool,
     engine: str = "auto",
     span: Optional[Span] = None,
-) -> "tuple[CellResult, Optional[Dict[str, Any]]]":
-    from ..obs import ProbeBus, SimulationMetrics
-
-    bus = sim_metrics = None
-    if with_metrics:
-        bus = ProbeBus()
-        sim_metrics = SimulationMetrics()
-        sim_metrics.attach(bus)
+) -> CellResult:
     trace = Trace(backlog_stride=backlog_stride)
     sim = Simulator(
         cell.algorithms(),
@@ -276,7 +262,6 @@ def _execute_cell_impl(
         max_slot_length=cell.max_slot_length,
         arrival_source=cell.arrival_source(),
         trace=trace,
-        probes=bus,
         engine=engine,
     )
     profiler = trace_profiler(sim) if span is not None else None
@@ -287,7 +272,7 @@ def _execute_cell_impl(
     samples = trace.backlog_series()
     samples.append((sim.now, sim.total_backlog))
     verdict = assess_stability(samples, horizon, tolerance=5)
-    result = CellResult(
+    return CellResult(
         name=cell.name,
         labels=dict(cell.labels),
         metrics=collect_metrics(sim),
@@ -297,7 +282,6 @@ def _execute_cell_impl(
         timebase=sim.timebase.describe(),
         engine_described=sim.engine_described,
     )
-    return result, (sim_metrics.snapshot() if sim_metrics is not None else None)
 
 
 def run_cell(
@@ -309,7 +293,7 @@ def run_cell(
     >>> (result.name, result.stable, result.peak_backlog >= result.metrics.backlog)
     ('demo', True, True)
     """
-    return _execute_cell(cell, backlog_stride, with_metrics=False, engine=engine)[0]
+    return _execute_cell(cell, backlog_stride, engine)
 
 
 def _cell_payload(cell: ExperimentCell, backlog_stride: int) -> Dict[str, Any]:
@@ -361,13 +345,9 @@ class CellFailure:
 class GridReport:
     """Results of one grid run plus how they were obtained.
 
-    ``worker_metrics`` maps worker pid to the list of per-cell
-    :meth:`repro.obs.SimulationMetrics.snapshot` dicts that worker
-    produced (empty unless ``collect_metrics=True``; cache hits carry
-    no snapshot — nothing executed).  ``journal_hits`` counts cells
-    restored from a resume journal (never re-executed); ``failures``
-    names every cell that failed for good; ``health`` is the
-    engine's resilience ledger for the run.
+    ``journal_hits`` counts cells restored from a resume journal (never
+    re-executed); ``failures`` names every cell that failed for good;
+    ``health`` is the engine's resilience ledger for the run.
     """
 
     results: List[CellResult]
@@ -376,20 +356,9 @@ class GridReport:
     wall_s: float
     cache_hits: int = 0
     cache_misses: int = 0
-    worker_metrics: Dict[int, List[Dict[str, Any]]] = field(default_factory=dict)
     journal_hits: int = 0
     failures: List[CellFailure] = field(default_factory=list)
     health: RunHealth = field(default_factory=RunHealth)
-
-    def aggregate_counter(self, name: str) -> int:
-        """Sum one integer instrument across every worker snapshot."""
-        total = 0
-        for snapshots in self.worker_metrics.values():
-            for snapshot in snapshots:
-                value = snapshot.get(name)
-                if isinstance(value, int):
-                    total += value
-        return total
 
 
 def grid_key(cells: Sequence[ExperimentCell], backlog_stride: int) -> str:
@@ -418,7 +387,6 @@ def run_grid_report(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressReporter] = None,
-    collect_metrics: bool = False,
     task_timeout: Optional[float] = None,
     retries: int = 0,
     journal: "Optional[GridJournal | str]" = None,
@@ -428,8 +396,8 @@ def run_grid_report(
     """Run a grid and report results plus execution/caching facts.
 
     The engine behind :func:`run_grid`; use this form when you want
-    wall time, cache hit counts, or per-worker metrics alongside the
-    results.  Results are always in cell order, whatever ``jobs`` is.
+    wall time, cache hit counts, failures or the run's health alongside
+    the results.  Results are always in cell order, whatever ``jobs`` is.
 
     Fault tolerance: ``task_timeout``/``retries`` bound each cell's
     attempts (see :func:`repro.exec.run_tasks`); a cell that fails for
@@ -453,7 +421,6 @@ def run_grid_report(
             jobs=jobs,
             cache=cache,
             progress=progress,
-            collect_metrics=collect_metrics,
             task_timeout=task_timeout,
             retries=retries,
             journal=journal,
@@ -470,7 +437,6 @@ def run_grid_report(
                 jobs=jobs,
                 cache=cache,
                 progress=progress,
-                collect_metrics=collect_metrics,
                 task_timeout=task_timeout,
                 retries=retries,
                 journal=journal,
@@ -494,7 +460,6 @@ def _run_grid_report(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressReporter] = None,
-    collect_metrics: bool = False,
     task_timeout: Optional[float] = None,
     retries: int = 0,
     journal: "Optional[GridJournal | str]" = None,
@@ -539,10 +504,7 @@ def _run_grid_report(
         pending.append(index)
 
     tasks = [
-        functools.partial(
-            _execute_cell, cells[index], backlog_stride, collect_metrics,
-            engine,
-        )
+        functools.partial(_execute_cell, cells[index], backlog_stride, engine)
         for index in pending
     ]
 
@@ -551,11 +513,10 @@ def _run_grid_report(
         if isinstance(value, TaskError):
             return
         index = pending[slot]
-        result = value[0]
         if cache is not None and keys[index] is not None:
-            cache.put(keys[index], result)
+            cache.put(keys[index], value)
         if journal is not None:
-            journal.record(index, cells[index].name, result)
+            journal.record(index, cells[index].name, value)
 
     try:
         run = run_tasks(
@@ -572,7 +533,6 @@ def _run_grid_report(
         if journal is not None:
             journal.close()
 
-    worker_metrics: Dict[int, List[Dict[str, Any]]] = {}
     failures: List[CellFailure] = []
     for slot, index in enumerate(pending):
         value = run.values[slot]
@@ -581,10 +541,7 @@ def _run_grid_report(
                 CellFailure(index=index, name=cells[index].name, error=value)
             )
             continue
-        result, snapshot = value
-        results[index] = result
-        if snapshot is not None:
-            worker_metrics.setdefault(run.task_workers[slot], []).append(snapshot)
+        results[index] = value
     return GridReport(
         results=[result for result in results if result is not None],
         jobs=run.jobs,
@@ -592,7 +549,6 @@ def _run_grid_report(
         wall_s=time.perf_counter() - started,
         cache_hits=hits,
         cache_misses=len(pending) if cache is not None else 0,
-        worker_metrics=worker_metrics,
         journal_hits=journal_hits,
         failures=failures,
         health=run.health,

@@ -41,18 +41,6 @@ class StabilityVerdict:
     peak: int
     final_backlog: int
 
-    @property
-    def late_peak(self) -> int:
-        """Largest backlog in the second half of the run."""
-        half = len(self.window_maxima) // 2
-        return max(self.window_maxima[half:], default=0)
-
-    @property
-    def early_peak(self) -> int:
-        """Largest backlog in the first half of the run."""
-        half = max(len(self.window_maxima) // 2, 1)
-        return max(self.window_maxima[:half], default=0)
-
 
 def assess_stability(
     samples: Sequence[Tuple[Fraction, int]],
@@ -129,11 +117,6 @@ class PhaseSegment:
     start: Time
     end: Time
     rounds: List[RoundSegment]
-
-    @property
-    def subphase_count(self) -> int:
-        """Definition 4 subphases: n rounds each (possibly a short tail)."""
-        return len(self.rounds)
 
 
 def segment_rounds(

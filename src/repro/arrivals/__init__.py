@@ -1,6 +1,6 @@
 """Packet-arrival adversaries and leaky-bucket-with-cost admissibility."""
 
-from .adaptive import FeedOnlyIdleStations, StarveCurrentTransmitter
+from .adaptive import StarveCurrentTransmitter
 from .leaky_bucket import (
     BucketReport,
     CostedArrival,
@@ -19,7 +19,6 @@ from .patterns import (
 from .source import (
     Arrival,
     ArrivalSource,
-    CallbackSource,
     ConcatSource,
     NoArrivals,
     StaticSchedule,
@@ -30,10 +29,8 @@ __all__ = [
     "ArrivalSource",
     "BucketReport",
     "BurstyRate",
-    "CallbackSource",
     "ConcatSource",
     "CostedArrival",
-    "FeedOnlyIdleStations",
     "NoArrivals",
     "PoissonLike",
     "RandomTargets",

@@ -118,46 +118,3 @@ class StarveCurrentTransmitter(ArrivalSource):
         # per arrival.  Stay on the exact Fraction path.
         return None
 
-
-class FeedOnlyIdleStations(ArrivalSource):
-    """Injects only into stations whose queues are currently empty.
-
-    A gentler adaptive pattern that maximizes the number of *distinct*
-    competitors in every leader election — worst case for election
-    overhead rather than for handover waste.
-    """
-
-    def __init__(
-        self,
-        rho: TimeLike,
-        burstiness: TimeLike,
-        assumed_cost: TimeLike,
-        station_ids: Sequence[int],
-        start: TimeLike = 0,
-    ) -> None:
-        self.rho = as_time(rho)
-        self.burstiness = as_time(burstiness)
-        self.assumed_cost = as_time(assumed_cost)
-        self.start = as_time(start)
-        self._ids = list(station_ids)
-        self._injected_cost = Fraction(0)
-        self._rr_cursor = 0
-        self._last_time = self.start
-
-    def arrivals_until(self, sim, upto: Time) -> Iterator[Arrival]:
-        if upto < self.start:
-            return
-        while True:
-            needed = self._injected_cost + self.assumed_cost - self.burstiness
-            t = self.start if needed <= 0 else self.start + needed / self.rho
-            if t < self._last_time:
-                t = self._last_time
-            if t > upto:
-                return
-            empty = [sid for sid in self._ids if sim.queue_size(sid) == 0]
-            pool = empty if empty else self._ids
-            target = pool[self._rr_cursor % len(pool)]
-            self._rr_cursor += 1
-            self._injected_cost += self.assumed_cost
-            self._last_time = t
-            yield (t, target)

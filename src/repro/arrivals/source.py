@@ -11,7 +11,6 @@ the channel).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -145,13 +144,3 @@ class ConcatSource(ArrivalSource):
                 return None
             denominators.append(declared)
         return lcm(*denominators)
-
-
-class CallbackSource(ArrivalSource):
-    """Adapt a plain function into a source (for quick experiment glue)."""
-
-    def __init__(self, fn) -> None:
-        self._fn = fn
-
-    def arrivals_until(self, sim, upto: Time) -> Iterable[Arrival]:
-        return self._fn(sim, upto)

@@ -164,6 +164,16 @@ def _parse_fault_flag(text: str) -> Dict[str, Any]:
     return entry
 
 
+def _int_flag(flag: str, text: str) -> int:
+    """A flag's integer value; text that is not one names the flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag}: expected an integer, got {text!r}"
+        ) from None
+
+
 def _dynamic_algorithm_or_exit(name: str) -> None:
     """Reject non-fleet names with the historical error shape.
 
@@ -668,7 +678,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     if args.construction == "mirror":
-        r = int(args.realized_r)
+        r = _int_flag("--realized-r", args.realized_r)
         factory = lambda sid: ABSLeaderElection(sid, r)  # noqa: E731
         result = run_mirror_adversary(factory, args.n, r)
         verify_mirror_execution(factory, result)
@@ -1024,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override a scenario file's horizon")
     submit_p.add_argument("--seed", type=int, default=None,
                           help="override a scenario file's seed")
-    _option_flags(submit_p, "engine", "timebase", "metrics")
+    _option_flags(submit_p, "engine", "timebase")
     submit_p.set_defaults(handler=_cmd_submit)
 
     bench_p = sub.add_parser("bench", help="benchmark artifact tooling")

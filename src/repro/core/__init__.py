@@ -38,7 +38,7 @@ from .timebase import (
     declared_lattice_denominator,
     make_interval,
 )
-from .trace import BacklogSample, SlotRecord, Trace
+from .trace import BacklogSample, Trace
 
 __all__ = [
     "AdmissibilityError",
@@ -64,7 +64,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SlotContext",
-    "SlotRecord",
     "StationAlgorithm",
     "StationRuntime",
     "TickLattice",

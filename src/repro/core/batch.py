@@ -161,11 +161,12 @@ def batch_blocker(sim) -> Optional[str]:
             return f"the run is on the exact Fraction timebase ({detail})"
         return "the run is on the exact Fraction timebase"
     if sim.probes is not None:
-        return "a ProbeBus is attached (per-event probes are object-path only)"
+        return (
+            "a ProbeBus is attached (per-event probes, Trace(record_slots=True) "
+            "among them, are object-path only)"
+        )
     if sim.profiler is not None:
         return "a PhaseProfiler is attached (per-phase timing is object-path only)"
-    if sim.trace.record_slots:
-        return "per-slot trace recording (record_slots) is object-path only"
     adversary_cls = type(sim.slot_adversary)
     if adversary_cls not in BATCH_SCHEDULES:
         return (

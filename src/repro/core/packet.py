@@ -115,12 +115,3 @@ class PacketQueue:
         packet = self._packets.popleft()
         self.total_delivered += 1
         return packet
-
-    def pending_cost_upper_bound(self, max_slot_length: Fraction) -> Fraction:
-        """Upper bound on the total cost of queued packets.
-
-        A packet's cost is only realized at delivery, but it can never
-        exceed the maximum slot length ``R``; the paper's queue-cost
-        bounds are checked against ``len(queue) * R``.
-        """
-        return Fraction(len(self._packets)) * max_slot_length

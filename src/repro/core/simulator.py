@@ -58,7 +58,7 @@ from .timebase import (
     as_time,
     declared_lattice_denominator,
 )
-from .trace import SlotRecord, Trace
+from .trace import Trace
 
 #: How many events between channel prunes (amortizes the O(history) scan).
 _PRUNE_EVERY = 512
@@ -113,7 +113,10 @@ class Simulator:
             ``initial_packets``).
         initial_packets: Number of packets pre-loaded into every queue
             at time 0 (before the first action is chosen).
-        trace: Optional :class:`~repro.core.trace.Trace` sink.
+        trace: Optional :class:`~repro.core.trace.Trace` sink.  With
+            ``record_slots`` on, its slot list is subscribed to the
+            ``slot_end`` probe (on ``probes``, or on a bus built for
+            it), so a recorded slot is the probe event itself.
         keep_channel_history: Disable channel pruning so every
             transmission record survives the run — required by post-hoc
             analyses that walk the success record (phase segmentation,
@@ -185,12 +188,16 @@ class Simulator:
             )
         self.slot_adversary = slot_adversary
         self.arrival_source = arrival_source
+        self.trace = trace if trace is not None else Trace()
+        if self.trace.record_slots:
+            if probes is None:
+                probes = ProbeBus()
+            probes.subscribe("slot_end", self.trace.slots.append)
         self.probes = probes
         self.profiler = profiler
         self._timebase = self._resolve_timebase(timebase)
         self._max_slot_internal = self._timebase.to_internal(self.max_slot_length)
         self.channel = Channel(probes=probes, timebase=self._timebase)
-        self.trace = trace if trace is not None else Trace()
 
         self.stations: Dict[int, StationRuntime] = {
             sid: StationRuntime(
@@ -339,11 +346,6 @@ class Simulator:
     def engine(self) -> str:
         """The resolved inner loop, ``"batch"`` or ``"object"``."""
         return self._engine
-
-    @property
-    def engine_requested(self) -> str:
-        """The ``engine=`` argument the simulator was constructed with."""
-        return self._engine_requested
 
     @property
     def engine_detail(self) -> Optional[str]:
@@ -674,19 +676,16 @@ class Simulator:
         self._deliver_pending(runtime, end_time)
         runtime.slots_elapsed += 1
 
-        record_action = runtime.action
-        record_interval = runtime.slot_interval
-        carried = runtime.aboard_packet
-
-        if probes is not None and probes.slot_end and record_action is not None:
+        if probes is not None and probes.slot_end and runtime.action is not None:
+            carried = runtime.aboard_packet
             # Positional, in field order: matching ten keywords costs
             # about as much as the rest of the construction.
             event = SlotEndEvent(
                 sid,
                 runtime.slot_index,
-                record_interval,
+                runtime.slot_interval,
                 timebase,
-                record_action,
+                runtime.action,
                 feedback,
                 len(runtime.queue),
                 delivered,
@@ -708,20 +707,6 @@ class Simulator:
                 runtime.algorithm.on_slot_end, ctx
             )
         self._begin_slot(runtime, end_time, next_action)
-
-        if self.trace.record_slots and record_action is not None:
-            self.trace.on_slot(
-                SlotRecord(
-                    station_id=sid,
-                    slot_index=runtime.slot_index - 1,
-                    interval=timebase.interval_public(record_interval),
-                    action=record_action,
-                    feedback=feedback,
-                    queue_size_after=len(runtime.queue),
-                    carried_packet_id=carried.packet_id if carried else None,
-                    delivered=delivered,
-                )
-            )
 
         self.events_processed += 1
         if (

@@ -57,6 +57,10 @@ def as_time(value: TimeLike) -> Fraction:
     Fraction(7, 4)
     >>> as_time(1.5)
     Fraction(3, 2)
+    >>> as_time("1/0")
+    Traceback (most recent call last):
+    ...
+    repro.core.errors.ConfigurationError: cannot interpret '1/0' as a time
     """
     if isinstance(value, Fraction):
         return value
@@ -64,10 +68,13 @@ def as_time(value: TimeLike) -> Fraction:
         raise ConfigurationError(f"cannot interpret {value!r} as a time")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
-        return Fraction(repr(value))
+        value = repr(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConfigurationError(f"cannot interpret {value!r} as a time")
 
 
@@ -137,20 +144,6 @@ class Interval:
         both successful.
         """
         return self.start < other.end and other.start < self.end
-
-    def contains_time(self, moment: Fraction) -> bool:
-        """True when ``moment`` lies in ``[start, end)``."""
-        return self.start <= moment < self.end
-
-    def ends_within(self, other: "Interval") -> bool:
-        """True when this interval's end lies in ``(other.start, other.end]``.
-
-        This is the paper's "a transmission *ended in* the slot"
-        predicate used to decide acknowledgment feedback: a transmission
-        finishing exactly at the slot boundary is credited to the slot
-        that just closed.
-        """
-        return other.start < self.end <= other.end
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.start}, {self.end})"

@@ -4,7 +4,9 @@ Two consumers drive the design:
 
 * The figure-reproduction benches (Fig. 2 schedule diagram, Fig. 4
   phase timeline) need the full per-slot story of short executions —
-  who listened/transmitted when, with what feedback.
+  who listened/transmitted when, with what feedback.  A recorded slot
+  is the simulator's ``slot_end`` probe event itself
+  (:class:`~repro.obs.probes.SlotEndEvent`).
 * The stability benches (Theorems 3 and 6) run millions of slots and
   only need the *backlog trajectory* (total queued packets over time)
   plus its running maximum, so full slot records can be disabled.
@@ -14,31 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from ..obs.probes import SlotEndEvent
 from .errors import ConfigurationError
-from .feedback import Feedback
-from .station import Action
-from .timebase import Interval, Time, TimeLike, as_time
-
-
-@dataclass(frozen=True, slots=True)
-class SlotRecord:
-    """Everything that happened in one slot of one station.
-
-    ``queue_size_after`` is the queue length right after the slot's
-    feedback was processed (deliveries popped, arrivals appended) — the
-    value the algorithm saw when choosing its next action.
-    """
-
-    station_id: int
-    slot_index: int
-    interval: Interval
-    action: Action
-    feedback: Feedback
-    queue_size_after: int
-    carried_packet_id: Optional[int] = None
-    delivered: bool = False
+from .timebase import Time, TimeLike, as_time
 
 
 @dataclass(slots=True)
@@ -54,9 +36,10 @@ class Trace:
     """Recording sink attached to a :class:`~repro.core.simulator.Simulator`.
 
     Attributes:
-        record_slots: Keep full :class:`SlotRecord` history.  Off by
-            default; long stability runs would otherwise hold millions
-            of records.
+        record_slots: Keep every slot's ``slot_end`` event in
+            :attr:`slots`: the simulator subscribes the list to its
+            probe bus at construction.  Off by default; long stability
+            runs would otherwise hold millions of records.
         backlog_stride: Record a backlog sample every ``stride`` backlog
             changes (1 = every change).  The running maximum is always
             exact regardless of stride.
@@ -64,7 +47,7 @@ class Trace:
 
     record_slots: bool = False
     backlog_stride: int = 1
-    slots: List[SlotRecord] = field(default_factory=list)
+    slots: List[SlotEndEvent] = field(default_factory=list)
     backlog: List[BacklogSample] = field(default_factory=list)
     max_backlog: int = 0
     #: Count of backlog-change events seen so far; drives the stride
@@ -78,11 +61,6 @@ class Trace:
                 f"backlog_stride must be >= 1, got {self.backlog_stride} "
                 "(a stride of 0 would silently never sample)"
             )
-
-    def on_slot(self, record: SlotRecord) -> None:
-        """Store one slot record (if slot recording is enabled)."""
-        if self.record_slots:
-            self.slots.append(record)
 
     def on_backlog_change(self, time: Time, total_packets: int) -> None:
         """Track a change in the total number of queued packets."""
@@ -101,22 +79,6 @@ class Trace:
         bounds (Theorems 3 and 6).
         """
         return self.max_backlog * as_time(max_slot_length)
-
-    # ------------------------------------------------------------------
-    # Queries used by analyses and figure renderers
-    # ------------------------------------------------------------------
-
-    def slots_of(self, station_id: int) -> List[SlotRecord]:
-        """All recorded slots of one station, in order."""
-        return [s for s in self.slots if s.station_id == station_id]
-
-    def transmissions(self) -> List[SlotRecord]:
-        """All recorded transmit slots across stations."""
-        return [s for s in self.slots if s.action.is_transmit]
-
-    def acked_slots(self) -> List[SlotRecord]:
-        """All recorded slots whose feedback was an acknowledgment."""
-        return [s for s in self.slots if s.feedback is Feedback.ACK]
 
     def horizon(self) -> Fraction:
         """Latest recorded slot end (0 if nothing recorded)."""

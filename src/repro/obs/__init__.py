@@ -6,7 +6,7 @@ independently usable:
 * :mod:`repro.obs.probes` — the :class:`ProbeBus` and its four event
   types; the simulator fires them at named hook points with near-zero
   cost when nobody listens.
-* :mod:`repro.obs.metrics` — counters / gauges / windowed histograms in
+* :mod:`repro.obs.metrics` — counters / gauges / histograms in
   a :class:`MetricsRegistry`, plus :class:`SimulationMetrics`, the
   built-in instrument pack (slot-length distribution, feedback mix,
   queue occupancy, collisions, events/sec).

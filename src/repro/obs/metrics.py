@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, windowed histograms, built-ins.
+"""Metrics registry: counters, gauges, histograms, built-ins.
 
 The registry is deliberately small — three instrument kinds cover every
 quantity the adversarial-queuing literature reports over time (queue
@@ -8,8 +8,7 @@ occupancy, collision mix, throughput over windows):
 * :class:`Gauge` — instantaneous values with exact running max/min;
 * :class:`Histogram` — exact value->count distribution (slot lengths
   and feedback kinds come from tiny discrete sets, so exact counting
-  beats bucketing), with an optional sliding *window* of the most
-  recent observations for "recent distribution" queries.
+  beats bucketing).
 
 :class:`SimulationMetrics` wires a standard instrument set to a
 :class:`~repro.obs.probes.ProbeBus`: slot-length distribution, feedback
@@ -21,9 +20,8 @@ control messages, backlog, and wall-clock simulation throughput
 from __future__ import annotations
 
 import time
-from collections import deque
 from fractions import Fraction
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .probes import (
     ArrivalEvent,
@@ -88,13 +86,7 @@ class Gauge:
 
 
 class Histogram:
-    """Exact distribution of observed values, optionally windowed.
-
-    ``counts`` covers the full run; when ``window`` is set, the last
-    ``window`` observations are also retained so
-    :meth:`recent_counts` can report the *current* distribution of a
-    long run (e.g. the feedback mix over the last 10k slots, which
-    reveals a phase change the all-time mix averages away).
+    """Exact distribution of observed values over the whole run.
 
     A hot producer may count in integer units instead: it increments
     the tally :meth:`scaled_counts` hands it, and :attr:`counts`,
@@ -102,38 +94,26 @@ class Histogram:
     as exact Fractions when they are read.
     """
 
-    __slots__ = ("name", "window", "_counts", "_count", "_total", "_scaled",
-                 "_recent")
+    __slots__ = ("name", "_counts", "_count", "_total", "_scaled")
 
-    def __init__(self, name: str, window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ValueError(f"histogram window must be >= 1, got {window}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.window = window
         self._counts: Dict[Any, int] = {}
         self._count = 0
         self._total: Any = 0
         self._scaled: Dict[int, Dict[Any, int]] = {}
-        self._recent: Optional[Deque[Any]] = (
-            deque(maxlen=window) if window is not None else None
-        )
 
     def observe(self, value: Any) -> None:
         self._counts[value] = self._counts.get(value, 0) + 1
         self._count += 1
         self._total = self._total + value
-        if self._recent is not None:
-            self._recent.append(value)
 
     def scaled_counts(self, denominator: int) -> Dict[Any, int]:
         """The live tally of values ``k / denominator``, keyed by ``k``.
 
         Each denominator has its own tally, so producers on different
-        units never mix.  A windowed histogram must see every value in
-        order, so it takes :meth:`observe` only.
+        units never mix.
         """
-        if self._recent is not None:
-            raise ValueError(f"histogram {self.name!r} is windowed; use observe()")
         tally = self._scaled.get(denominator)
         if tally is None:
             tally = self._scaled[denominator] = {}
@@ -166,33 +146,17 @@ class Histogram:
                 total = total + Fraction(units, denominator)
         return total
 
-    def recent_counts(self) -> Dict[Any, int]:
-        """Distribution over the last ``window`` observations."""
-        out: Dict[Any, int] = {}
-        for value in self._recent or ():
-            out[value] = out.get(value, 0) + 1
-        return out
-
     def mean(self) -> Optional[Any]:
         count = self.count
         return self.total / count if count else None
 
     def snapshot(self) -> Dict[str, Any]:
         ordered = sorted(self.counts.items(), key=lambda kv: str(kv[0]))
-        snap: Dict[str, Any] = {
+        return {
             "count": self.count,
             "mean": _plain(self.mean()),
             "counts": {str(k): v for k, v in ordered},
         }
-        if self.window is not None:
-            snap["window"] = self.window
-            snap["recent"] = {
-                str(k): v
-                for k, v in sorted(
-                    self.recent_counts().items(), key=lambda kv: str(kv[0])
-                )
-            }
-        return snap
 
 
 class MetricsRegistry:
@@ -219,8 +183,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
-    def histogram(self, name: str, window: Optional[int] = None) -> Histogram:
-        return self._get_or_create(name, Histogram, lambda: Histogram(name, window))
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram, lambda: Histogram(name))
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
@@ -303,7 +267,6 @@ class SimulationMetrics:
         self._lengths: Dict[Any, int] = {}
         self._wall_start: Optional[float] = None
         self._wall_last: Optional[float] = None
-        self._detach: Optional[Callable[[], None]] = None
 
     # -- subscriber callbacks ------------------------------------------
 
@@ -352,7 +315,7 @@ class SimulationMetrics:
     def attach(self, bus: ProbeBus) -> Callable[[], None]:
         """Subscribe every instrument; returns an unsubscriber."""
         self._wall_start = time.perf_counter()
-        self._detach = bus.subscribe_many(
+        return bus.subscribe_many(
             {
                 "slot_end": self._on_slot_end,
                 "collision": self._on_collision,
@@ -360,12 +323,6 @@ class SimulationMetrics:
                 "delivery": self._on_delivery,
             }
         )
-        return self._detach
-
-    def detach(self) -> None:
-        if self._detach is not None:
-            self._detach()
-            self._detach = None
 
     # -- derived quantities --------------------------------------------
 

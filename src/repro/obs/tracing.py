@@ -43,7 +43,7 @@ import shutil
 import tempfile
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 __all__ = [
     "Span",
@@ -179,10 +179,6 @@ class Tracer:
         return f"{self._pid}:{self._counter}"
 
     # -- recording ------------------------------------------------------
-
-    @property
-    def current_tid(self) -> int:
-        return self._tid_stack[-1]
 
     @property
     def current_parent(self) -> Optional[str]:

@@ -36,7 +36,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.collector import collector_paused
 from ..core.errors import ConfigurationError
@@ -160,7 +160,7 @@ class ScenarioSpec:
             raise ConfigurationError(f"n: must be an integer >= 1, got {self.n!r}")
         try:
             set_(self, "max_slot", as_time(self.max_slot))
-        except (ValueError, ZeroDivisionError, ConfigurationError) as exc:
+        except ConfigurationError as exc:
             raise ConfigurationError(f"max_slot: {exc}") from None
         if self.max_slot < 1:
             raise ConfigurationError(
@@ -171,7 +171,7 @@ class ScenarioSpec:
         if self.rho is not None:
             try:
                 set_(self, "rho", as_time(self.rho))
-            except (ValueError, ZeroDivisionError, ConfigurationError) as exc:
+            except ConfigurationError as exc:
                 raise ConfigurationError(f"rho: {exc}") from None
             if self.rho <= 0:
                 raise ConfigurationError(f"rho: must be > 0, got {self.rho}")
@@ -193,7 +193,7 @@ class ScenarioSpec:
             SOURCES.get(self.source["name"])
         try:
             set_(self, "horizon", as_time(self.horizon))
-        except (ValueError, ZeroDivisionError, ConfigurationError) as exc:
+        except ConfigurationError as exc:
             raise ConfigurationError(f"horizon: {exc}") from None
         if self.horizon <= 0:
             raise ConfigurationError(
@@ -397,17 +397,6 @@ class ScenarioSpec:
                 timebase=timebase,
                 engine=engine,
             )
-
-    def to_cell(
-        self,
-        *,
-        name: Optional[str] = None,
-        labels: Optional[Mapping[str, str]] = None,
-    ):
-        """This spec as a grid :class:`~repro.analysis.ExperimentCell`."""
-        from ..analysis.experiments import ExperimentCell
-
-        return ExperimentCell.from_spec(self, name=name, labels=labels)
 
     def schedule_display(self) -> str:
         """Compact human form of the schedule (``worst``, ``fixed{...}``)."""

@@ -25,12 +25,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from ..core.feedback import Feedback
-from ..core.timebase import Time, TimeLike, as_time
-from ..core.trace import SlotRecord, Trace
+from ..core.timebase import TimeLike, as_time
+from ..core.trace import Trace
+from ..obs.probes import SlotEndEvent
 from ..analysis.stability import PhaseSegment
 
 
-def _glyph(record: SlotRecord) -> str:
+def _glyph(record: SlotEndEvent) -> str:
     if record.action.is_transmit:
         return "*" if record.feedback is Feedback.ACK else "#"
     if record.feedback is Feedback.ACK:
@@ -70,10 +71,11 @@ def render_timeline(
     for record in trace.slots:
         if record.station_id not in lanes:
             continue
-        if record.interval.end <= t0 or record.interval.start >= t1:
+        interval = record.interval
+        if interval.end <= t0 or interval.start >= t1:
             continue
-        a = _column(record.interval.start, t0, t1, width)
-        b = _column(record.interval.end, t0, t1, width)
+        a = _column(interval.start, t0, t1, width)
+        b = _column(interval.end, t0, t1, width)
         lane = lanes[record.station_id]
         glyph = _glyph(record)
         for column in range(a, max(b, a + 1)):

@@ -66,8 +66,8 @@ class TestAssessStability:
         verdict = assess_stability(
             series([9, 1, 1, 1, 1, 1, 1, 1]), horizon=80, windows=4
         )
-        assert verdict.early_peak == 9
-        assert verdict.late_peak == 1
+        assert verdict.window_maxima == [9, 1, 1, 1]
+        assert verdict.stable
 
 
 class TestWastedTime:

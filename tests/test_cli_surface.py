@@ -52,7 +52,6 @@ OPTION_INVOCATIONS: Dict[str, Tuple[List[str], List[str]]] = {
     "sst": (["sst"], ["sst", "--max-events", "10"]),
     "submit": (["submit", "S.json"], [
         "submit", "S.json", "--engine", "batch", "--timebase", "fraction",
-        "--metrics",
     ]),
 }
 
@@ -149,6 +148,34 @@ def test_rejected_value_exits_with_the_named_error(argv, message, tmp_path,
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == message
+    assert capsys.readouterr().out == ""
+
+
+#: Text the CLI cannot convert, for every string-typed time or rate flag
+#: a command reads and for the integer ``--realized-r``.  (``thm4``
+#: ignores ``--horizon`` and ``rate1`` ignores ``--rho``.)
+MALFORMED_VALUES = [
+    command + [flag, value]
+    for command, flags, values in (
+        (["bounds"], ("--max-slot", "--rho", "--burstiness"), ("abc", "1/0")),
+        (["adversary", "thm4"], ("--max-slot", "--rho"), ("abc", "1/0")),
+        (["adversary", "rate1"], ("--max-slot", "--horizon"), ("abc", "1/0")),
+        (["run"], ("--max-slot", "--rho", "--horizon"), ("abc", "1/0")),
+        (["adversary", "mirror"], ("--realized-r",), ("abc", "1/2")),
+    )
+    for flag in flags
+    for value in values
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_VALUES, ids=" ".join)
+def test_malformed_value_exits_without_a_traceback(argv, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    code = info.value.code
+    assert code == 2 or (isinstance(code, str) and code and "\n" not in code)
     assert capsys.readouterr().out == ""
 
 

@@ -217,14 +217,6 @@ class TestGridEngine:
         result = run_cell(cell(horizon=600))
         assert pickle.loads(pickle.dumps(result)) == result
 
-    def test_collect_metrics_aggregates_workers(self):
-        report = run_grid_report(
-            [cell(name="a", rho="1/4"), cell(name="b", rho="1/2")],
-            collect_metrics=True,
-        )
-        delivered = sum(r.metrics.delivered for r in report.results)
-        assert report.aggregate_counter("delivered") == delivered
-
 
 def write_report(directory, name, rows, wall_s=1.0):
     directory.mkdir(parents=True, exist_ok=True)

@@ -71,12 +71,6 @@ class TestPacketQueue:
         assert q.total_delivered == 2
         assert len(q) == 3
 
-    def test_pending_cost_upper_bound(self):
-        q = PacketQueue(station_id=1)
-        q.push(pkt(0))
-        q.push(pkt(1))
-        assert q.pending_cost_upper_bound(Fraction(3)) == Fraction(6)
-
     def test_iteration_preserves_order(self):
         q = PacketQueue(station_id=1)
         packets = [pkt(k) for k in range(4)]

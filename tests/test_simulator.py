@@ -253,7 +253,7 @@ class TestTraceRecording:
             trace=trace,
         )
         sim.run(until_time=3)
-        mine = trace.slots_of(1)
+        mine = [record for record in trace.slots if record.station_id == 1]
         assert mine[0].action.is_transmit
         assert mine[0].delivered
         assert mine[0].feedback is Feedback.ACK

@@ -105,29 +105,6 @@ class TestInterval:
     def test_disjoint(self):
         assert not make_interval(0, 1).overlaps(make_interval(5, 6))
 
-    def test_contains_time_half_open(self):
-        iv = make_interval(1, 2)
-        assert iv.contains_time(Fraction(1))
-        assert iv.contains_time(Fraction(3, 2))
-        assert not iv.contains_time(Fraction(2))
-
-    def test_ends_within_includes_right_endpoint(self):
-        # A transmission ending exactly at the slot boundary is
-        # credited to the slot that just closed (ack semantics).
-        transmission = make_interval(0, 2)
-        slot = make_interval(1, 2)
-        assert transmission.ends_within(slot)
-
-    def test_ends_within_excludes_left_endpoint(self):
-        transmission = make_interval(0, 1)
-        slot = make_interval(1, 2)
-        assert not transmission.ends_within(slot)
-
-    def test_ends_within_interior(self):
-        transmission = make_interval(0, Fraction(3, 2))
-        slot = make_interval(1, 2)
-        assert transmission.ends_within(slot)
-
 
 class TestTickLattice:
     def test_round_trip_on_lattice(self):

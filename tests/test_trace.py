@@ -4,59 +4,53 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import (
-    ConfigurationError,
-    Feedback,
-    LISTEN,
-    SlotRecord,
-    TRANSMIT_PACKET,
-    Trace,
-    make_interval,
-)
+from repro.core import ConfigurationError, Trace, execution_signature
+from repro.scenarios import ScenarioSpec
 
 
-def record(sid=1, index=0, a=0, b=1, transmit=False, feedback=Feedback.SILENCE):
-    return SlotRecord(
-        station_id=sid,
-        slot_index=index,
-        interval=make_interval(a, b),
-        action=TRANSMIT_PACKET if transmit else LISTEN,
-        feedback=feedback,
-        queue_size_after=0,
-    )
+def wide_spec():
+    """A fleet wide enough for ``engine="auto"`` to pick the batch kernel,
+    so only slot recording keeps it on the object loop."""
+    return ScenarioSpec(algorithm="rrw", n=24, max_slot=2, schedule="sync",
+                        rho="1/2", horizon=40)
 
 
 class TestSlotRecording:
     def test_disabled_by_default(self):
         trace = Trace()
-        trace.on_slot(record())
+        sim = wide_spec().build(trace=trace, engine="object")
+        sim.run(until_time=10)
         assert trace.slots == []
+        assert sim.probes is None
 
     def test_enabled_keeps_records(self):
         trace = Trace(record_slots=True)
-        trace.on_slot(record(index=0))
-        trace.on_slot(record(index=1, a=1, b=2))
-        assert len(trace.slots) == 2
-
-    def test_slots_of_filters_by_station(self):
-        trace = Trace(record_slots=True)
-        trace.on_slot(record(sid=1))
-        trace.on_slot(record(sid=2))
-        assert [r.station_id for r in trace.slots_of(2)] == [2]
-
-    def test_transmissions_and_acked_selectors(self):
-        trace = Trace(record_slots=True)
-        trace.on_slot(record(transmit=True, feedback=Feedback.ACK))
-        trace.on_slot(record(feedback=Feedback.BUSY))
-        assert len(trace.transmissions()) == 1
-        assert len(trace.acked_slots()) == 1
+        sim = wide_spec().build(trace=trace)
+        sim.run(until_time=10)
+        assert len(trace.slots) == sim.events_processed > 0
 
     def test_horizon(self):
         trace = Trace(record_slots=True)
         assert trace.horizon() == 0
-        trace.on_slot(record(a=0, b=3))
-        trace.on_slot(record(a=1, b=2))
+        wide_spec().build(trace=trace).run(until_time=3)
         assert trace.horizon() == 3
+
+    @pytest.mark.parametrize("timebase", ["lattice", "fraction"])
+    def test_recorded_slots_are_the_slot_end_events(self, timebase):
+        trace = Trace(record_slots=True)
+        sim = wide_spec().build(trace=trace, timebase=timebase)
+        seen = []
+        sim.probes.subscribe("slot_end", seen.append)
+        sim.run(until_time=20)
+        assert len(trace.slots) == len(seen) == sim.events_processed
+        assert all(kept is event for kept, event in zip(trace.slots, seen))
+        assert sim.engine == "object"
+        if timebase == "lattice":
+            assert "record_slots" in sim.engine_detail
+
+        unrecorded = wide_spec().build(timebase=timebase)
+        unrecorded.run(until_time=20)
+        assert execution_signature(sim) == execution_signature(unrecorded)
 
 
 class TestBacklogTracking:
