@@ -9,11 +9,10 @@ degrade as ``1/(1 - rho)`` when rho -> 1.
 
 The grid is declared as :class:`~repro.scenarios.ScenarioSpec` values —
 the same declarative form the CLI and ``scenarios/*.json`` files use —
-so every cell is cache-keyed by its canonical JSON rather than by
-bytecode fingerprints.  The cells are independent, so the grid routes
-through the :mod:`repro.service` layer onto the :mod:`repro.exec`
-engine: ``REPRO_BENCH_JOBS=4`` fans it out over
-four workers with bit-identical results, and completed cells are
+so every cell is cache-keyed by its canonical JSON.  The cells are
+independent, so the grid routes through the :mod:`repro.service` layer
+onto the :mod:`repro.exec` engine: ``REPRO_BENCH_JOBS=4`` fans it out
+over four workers with bit-identical results, and completed cells are
 memoized in ``.repro-cache/`` (``REPRO_BENCH_NO_CACHE=1`` to bypass).
 The artifact's ``meta`` block records wall time, jobs, and cache
 counts.
@@ -21,7 +20,7 @@ counts.
 
 from fractions import Fraction
 
-from repro.analysis import ExperimentCell, ao_queue_bound_L, run_grid_report
+from repro.analysis import ao_queue_bound_L, run_grid_report
 from repro.scenarios import ScenarioSpec
 
 from .reporting import emit, grid_meta, service_grid, table
@@ -50,13 +49,9 @@ def _spec(n, R, rho):
     )
 
 
-def _cell(n, R, rho):
-    return ExperimentCell.from_spec(_spec(n, R, rho))
-
-
 def _run_cell(n, R, rho):
     """One cell, engine semantics (kept for ad-hoc timing recipes)."""
-    return run_grid_report([_cell(n, R, rho)], backlog_stride=STRIDE).results[0]
+    return run_grid_report([_spec(n, R, rho)], backlog_stride=STRIDE).results[0]
 
 
 def test_queue_bound_grid(benchmark):

@@ -15,7 +15,7 @@ bit-identically, and ``.repro-cache/`` memoizes completed cells
 
 from fractions import Fraction
 
-from repro.analysis import ExperimentCell, ca_queue_bound_L, run_grid_report
+from repro.analysis import ca_queue_bound_L, run_grid_report
 from repro.scenarios import ScenarioSpec
 
 from .reporting import emit, grid_meta, service_grid, table
@@ -44,13 +44,9 @@ def _spec(n, R, rho, algorithm="ca-arrow"):
     )
 
 
-def _cell(n, R, rho, algorithm="ca-arrow"):
-    return ExperimentCell.from_spec(_spec(n, R, rho, algorithm))
-
-
 def _run_cell(n, R, rho):
     """One cell, engine semantics (kept for ad-hoc timing recipes)."""
-    return run_grid_report([_cell(n, R, rho)], backlog_stride=STRIDE).results[0]
+    return run_grid_report([_spec(n, R, rho)], backlog_stride=STRIDE).results[0]
 
 
 def test_queue_bound_and_collision_freedom_grid(benchmark):

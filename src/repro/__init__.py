@@ -12,7 +12,7 @@ paper's algorithms and adversarial constructions:
 * :mod:`repro.lowerbounds` — executable Theorems 2, 4 and 5;
 * :mod:`repro.analysis` — paper bounds, stability tests, MSR search;
 * :mod:`repro.obs` — probes, metrics, JSONL run artifacts, profiling;
-* :mod:`repro.exec` — process-pool grids/sweeps, result cache, bench diff;
+* :mod:`repro.exec` — process-pool grids, result cache, bench diff;
 * :mod:`repro.service` — the transport-agnostic run service
   (``RunRequest`` → ``execute`` → ``RunResult``) and the ``repro
   serve`` HTTP daemon + ``repro submit`` client built on it;

@@ -21,7 +21,6 @@ from .bounds import (
 from .experiments import (
     CellFailure,
     CellResult,
-    ExperimentCell,
     GridReport,
     grid_key,
     run_cell,
@@ -30,7 +29,6 @@ from .experiments import (
     write_csv,
 )
 from .latency import LatencySummary, latency_by_station, percentile, summarize_latencies
-from .sweeps import SweepReport, SweepStats, sweep_seeds, sweep_seeds_report
 from .metrics import RunMetrics, collect_metrics
 from .msr import MSREstimate, RateTrial, estimate_msr, run_at_rate
 from .stability import (
@@ -47,18 +45,15 @@ __all__ = [
     "CellFailure",
     "CellResult",
     "ElectionRecord",
-    "ExperimentCell",
     "GridReport",
     "LatencySummary",
     "LemmaViolation",
     "MSREstimate",
-    "SweepStats",
     "PhaseSegment",
     "RateTrial",
     "RoundSegment",
     "RunMetrics",
     "StabilityVerdict",
-    "SweepReport",
     "abs_listen_threshold_bit0",
     "abs_listen_threshold_bit1",
     "abs_phase_count",
@@ -92,8 +87,6 @@ __all__ = [
     "segment_rounds",
     "sst_lower_bound_slots",
     "summarize_latencies",
-    "sweep_seeds",
-    "sweep_seeds_report",
     "thm4_minimum_start_slot",
     "utilization",
     "wasted_time",

@@ -1,65 +1,43 @@
 """Declarative experiment grids with parallel execution and CSV export.
 
-The benches and the CLI share this thin layer: an experiment *cell* is
-a named recipe (algorithms x slot adversary x workload x horizon); a
-*grid* is a list of cells, each yielding the same measurement record.
-Cells are independent, so a grid runs on the :mod:`repro.exec` process
-pool — ``run_grid(cells, jobs=4)`` is bit-identical to ``jobs=1``,
-just faster — and completed cells can be memoized in a
-content-addressed :class:`repro.exec.ResultCache` so re-running an
-unchanged grid is near-instant.  Results serialize to CSV so
-downstream analysis (spreadsheets, notebooks) needs nothing from this
-package.  See ``docs/experiments.md`` for the full workflow.
+The benches and the CLI share this thin layer.  An experiment *cell*
+is a :class:`~repro.scenarios.ScenarioSpec`: one algorithm against one
+slot adversary and arrival process at some (n, R, rho, b), run to the
+spec's horizon.  A *grid* is a list of specs, each yielding the same
+measurement record.  Cells are independent, so a grid runs on the
+:mod:`repro.exec` process pool — ``run_grid(specs, jobs=4)`` is
+bit-identical to ``jobs=1``, just faster — and completed cells can be
+memoized in a content-addressed :class:`repro.exec.ResultCache`, keyed
+by each spec's canonical JSON, so re-running an unchanged grid is
+near-instant.  Results serialize to CSV so downstream analysis
+(spreadsheets, notebooks) needs nothing from this package.  See
+``docs/experiments.md`` for the full workflow.
 
 A minimal end-to-end run:
 
->>> from repro.algorithms import RRW
->>> from repro.arrivals import UniformRate
->>> from repro.timing import Synchronous
->>> cell = ExperimentCell(
-...     name="demo",
-...     algorithms=lambda: {1: RRW(1, 2), 2: RRW(2, 2)},
-...     slot_adversary=Synchronous,
-...     arrival_source=lambda: UniformRate(
-...         rho="1/2", targets=[1, 2], assumed_cost=1
-...     ),
-...     max_slot_length=1,
-...     horizon=120,
-... )
->>> result = run_cell(cell)
+>>> from repro.scenarios import ScenarioSpec
+>>> spec = ScenarioSpec(name="demo", algorithm="rrw", n=2, max_slot=1,
+...                     schedule="sync", rho="1/2", horizon=120)
+>>> result = run_cell(spec)
 >>> (result.name, result.stable, result.metrics.delivered > 0)
 ('demo', True, True)
-
-(The function doctests below use ``_demo_cell()``, a module-level
-factory for exactly this cell, because every docstring runs in its
-own namespace.)
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from ..core.simulator import Simulator
-from ..core.station import StationAlgorithm
-from ..core.timebase import TimeLike, as_time
 from ..core.trace import Trace
 from ..exec.cache import (
     MISS,
     ResultCache,
-    UncacheableValue,
     canonical_key,
     code_salt,
     fingerprint,
@@ -71,55 +49,10 @@ from ..obs.tracing import Span, Tracer, current_tracer
 from .metrics import RunMetrics, collect_metrics
 from .stability import assess_stability
 
-
-@dataclass(frozen=True, slots=True)
-class ExperimentCell:
-    """One runnable configuration.
-
-    Factories (not instances) so that every run starts fresh and grids
-    stay trivially re-runnable.  Cells built from a declarative
-    :class:`~repro.scenarios.ScenarioSpec` (via :meth:`from_spec`)
-    additionally carry the spec, which the result cache uses to key the
-    cell by canonical JSON instead of callable bytecode.
-    """
-
-    name: str
-    algorithms: Callable[[], Dict[int, StationAlgorithm]]
-    slot_adversary: Callable[[], object]
-    arrival_source: Callable[[], Optional[object]]
-    max_slot_length: TimeLike
-    horizon: TimeLike
-    #: Free-form key=value labels copied into the result row.
-    labels: Dict[str, str] = field(default_factory=dict)
-    #: The declarative spec this cell was built from, when there is one.
-    spec: Optional[object] = None
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec,
-        *,
-        name: Optional[str] = None,
-        labels: Optional[Dict[str, str]] = None,
-    ) -> "ExperimentCell":
-        """A cell whose factories (and cache identity) come from ``spec``.
-
-        ``name`` and ``labels`` default to the spec's own; explicit
-        ``labels`` are merged over them.
-        """
-        merged = dict(spec.labels)
-        if labels:
-            merged.update(labels)
-        return cls(
-            name=name if name is not None else spec.name,
-            algorithms=spec.build_fleet,
-            slot_adversary=spec.build_schedule,
-            arrival_source=spec.build_source,
-            max_slot_length=spec.max_slot,
-            horizon=spec.horizon,
-            labels=merged,
-            spec=spec,
-        )
+if TYPE_CHECKING:
+    # Annotations only: the scenario layer imports the algorithms,
+    # which import this package.
+    from ..scenarios import ScenarioSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,24 +102,6 @@ class CellResult:
         return row
 
 
-def _demo_cell() -> ExperimentCell:
-    """The cheap two-station cell the doctests run (see module docstring)."""
-    from ..algorithms import RRW
-    from ..arrivals import UniformRate
-    from ..timing import Synchronous
-
-    return ExperimentCell(
-        name="demo",
-        algorithms=lambda: {1: RRW(1, 2), 2: RRW(2, 2)},
-        slot_adversary=Synchronous,
-        arrival_source=lambda: UniformRate(
-            rho="1/2", targets=[1, 2], assumed_cost=1
-        ),
-        max_slot_length=1,
-        horizon=120,
-    )
-
-
 def emit_phase_spans(
     tracer: Tracer, parent: Span, profiler: PhaseProfiler
 ) -> None:
@@ -228,7 +143,7 @@ def trace_profiler(sim: Simulator) -> Optional[PhaseProfiler]:
 
 
 def _execute_cell(
-    cell: ExperimentCell, backlog_stride: int, engine: str = "auto"
+    spec: ScenarioSpec, backlog_stride: int, engine: str = "auto"
 ) -> CellResult:
     """Run one cell.
 
@@ -238,9 +153,9 @@ def _execute_cell(
     """
     tracer = current_tracer()
     if tracer is None:
-        return _execute_cell_impl(cell, backlog_stride, engine)
-    with tracer.span("cell", cell=cell.name) as span:
-        result = _execute_cell_impl(cell, backlog_stride, engine, span)
+        return _execute_cell_impl(spec, backlog_stride, engine)
+    with tracer.span("cell", cell=spec.name) as span:
+        result = _execute_cell_impl(spec, backlog_stride, engine, span)
         span.set(
             stable=result.stable,
             delivered=result.metrics.delivered,
@@ -250,31 +165,23 @@ def _execute_cell(
 
 
 def _execute_cell_impl(
-    cell: ExperimentCell,
+    spec: ScenarioSpec,
     backlog_stride: int,
     engine: str = "auto",
     span: Optional[Span] = None,
 ) -> CellResult:
     trace = Trace(backlog_stride=backlog_stride)
-    sim = Simulator(
-        cell.algorithms(),
-        cell.slot_adversary(),
-        max_slot_length=cell.max_slot_length,
-        arrival_source=cell.arrival_source(),
-        trace=trace,
-        engine=engine,
-    )
+    sim = spec.build(trace=trace, engine=engine)
     profiler = trace_profiler(sim) if span is not None else None
-    horizon = as_time(cell.horizon)
-    sim.run(until_time=horizon)
+    sim.run(until_time=spec.horizon)
     if profiler is not None:
         emit_phase_spans(current_tracer(), span, profiler)
     samples = trace.backlog_series()
     samples.append((sim.now, sim.total_backlog))
-    verdict = assess_stability(samples, horizon, tolerance=5)
+    verdict = assess_stability(samples, spec.horizon, tolerance=5)
     return CellResult(
-        name=cell.name,
-        labels=dict(cell.labels),
+        name=spec.name,
+        labels=dict(spec.labels),
         metrics=collect_metrics(sim),
         stable=verdict.stable,
         peak_backlog=trace.max_backlog,
@@ -285,43 +192,35 @@ def _execute_cell_impl(
 
 
 def run_cell(
-    cell: ExperimentCell, backlog_stride: int = 8, *, engine: str = "auto"
+    spec: ScenarioSpec, backlog_stride: int = 8, *, engine: str = "auto"
 ) -> CellResult:
     """Execute one cell and collect its measurements.
 
-    >>> result = run_cell(_demo_cell(), backlog_stride=4)
+    >>> from repro.scenarios import ScenarioSpec
+    >>> spec = ScenarioSpec(name="demo", algorithm="rrw", n=2, max_slot=1,
+    ...                     schedule="sync", rho="1/2", horizon=120)
+    >>> result = run_cell(spec, backlog_stride=4)
     >>> (result.name, result.stable, result.peak_backlog >= result.metrics.backlog)
     ('demo', True, True)
     """
-    return _execute_cell(cell, backlog_stride, engine)
+    return _execute_cell(spec, backlog_stride, engine)
 
 
-def _cell_payload(cell: ExperimentCell, backlog_stride: int) -> Dict[str, Any]:
+def _cell_payload(spec: ScenarioSpec, backlog_stride: int) -> Dict[str, Any]:
     """The cache identity of one cell run (see ``repro.exec.cache``).
 
-    Spec-backed cells are keyed by the spec's canonical JSON — stable
-    across processes and across cosmetic edits to calling code.  Cells
-    wired from closures keep the bytecode-fingerprint path.
+    A cell is keyed by its spec's canonical JSON, which is stable
+    across processes and across edits to the code that built the spec.
+    The fields beside ``spec`` repeat parts of it; they stay so that
+    existing cache entries and journals keep their keys.
     """
-    if cell.spec is not None:
-        return {
-            "kind": "scenario-cell",
-            "name": cell.name,
-            "labels": cell.labels,
-            "spec": cell.spec.__cache_form__(),
-            "max_slot_length": as_time(cell.max_slot_length),
-            "horizon": as_time(cell.horizon),
-            "backlog_stride": backlog_stride,
-        }
     return {
-        "kind": "experiment-cell",
-        "name": cell.name,
-        "labels": cell.labels,
-        "algorithms": cell.algorithms,
-        "slot_adversary": cell.slot_adversary,
-        "arrival_source": cell.arrival_source,
-        "max_slot_length": as_time(cell.max_slot_length),
-        "horizon": as_time(cell.horizon),
+        "kind": "scenario-cell",
+        "name": spec.name,
+        "labels": spec.labels,
+        "spec": spec.__cache_form__(),
+        "max_slot_length": spec.max_slot,
+        "horizon": spec.horizon,
         "backlog_stride": backlog_stride,
     }
 
@@ -361,27 +260,20 @@ class GridReport:
     health: RunHealth = field(default_factory=RunHealth)
 
 
-def grid_key(cells: Sequence[ExperimentCell], backlog_stride: int) -> str:
+def grid_key(specs: Sequence[ScenarioSpec], backlog_stride: int) -> str:
     """Content identity of a whole grid — what a resume journal binds to.
 
     Folds in the code salt, so a journal written by different sources
-    (whose results could differ) is never resumed from.  Cells whose
-    configuration cannot be fingerprinted degrade to (index, name,
-    labels) identity — weaker, but still catches shape changes.
+    (whose results could differ) is never resumed from.
     """
-    parts: List[Any] = []
-    for index, cell in enumerate(cells):
-        try:
-            parts.append(fingerprint(_cell_payload(cell, backlog_stride)))
-        except (UncacheableValue, RecursionError):
-            parts.append(
-                {"index": index, "name": cell.name, "labels": cell.labels}
-            )
+    parts = [
+        fingerprint(_cell_payload(spec, backlog_stride)) for spec in specs
+    ]
     return canonical_key({"grid": parts}, salt=code_salt())
 
 
 def run_grid_report(
-    cells: Sequence[ExperimentCell],
+    specs: Sequence[ScenarioSpec],
     backlog_stride: int = 8,
     *,
     jobs: int = 1,
@@ -412,11 +304,15 @@ def run_grid_report(
     Nothing here writes run history: :func:`repro.service.execute`
     records one row per grid request.
     """
-    cells = list(cells)
+    specs = list(specs)
     tracer = current_tracer()
-    if tracer is None:
+    with (
+        tracer.span("grid", cells=len(specs), backlog_stride=backlog_stride)
+        if tracer is not None
+        else contextlib.nullcontext()
+    ) as span:
         report = _run_grid_report(
-            cells,
+            specs,
             backlog_stride,
             jobs=jobs,
             cache=cache,
@@ -427,22 +323,7 @@ def run_grid_report(
             resume=resume,
             engine=engine,
         )
-    else:
-        with tracer.span(
-            "grid", cells=len(cells), backlog_stride=backlog_stride
-        ) as span:
-            report = _run_grid_report(
-                cells,
-                backlog_stride,
-                jobs=jobs,
-                cache=cache,
-                progress=progress,
-                task_timeout=task_timeout,
-                retries=retries,
-                journal=journal,
-                resume=resume,
-                engine=engine,
-            )
+        if span is not None:
             span.set(
                 mode=report.mode,
                 cache_hits=report.cache_hits,
@@ -454,7 +335,7 @@ def run_grid_report(
 
 
 def _run_grid_report(
-    cells: List[ExperimentCell],
+    specs: List[ScenarioSpec],
     backlog_stride: int = 8,
     *,
     jobs: int = 1,
@@ -468,8 +349,8 @@ def _run_grid_report(
 ) -> GridReport:
     """The engine behind :func:`run_grid_report` (which adds the span)."""
     started = time.perf_counter()
-    results: List[Optional[CellResult]] = [None] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
+    results: List[Optional[CellResult]] = [None] * len(specs)
+    keys: List[Optional[str]] = [None] * len(specs)
     pending: List[int] = []
     hits = 0
     journal_hits = 0
@@ -479,32 +360,28 @@ def _run_grid_report(
     recorded: Dict[int, Any] = {}
     if journal is not None:
         recorded = journal.start(
-            grid_key(cells, backlog_stride), len(cells), resume=resume
+            grid_key(specs, backlog_stride), len(specs), resume=resume
         )
 
-    for index, cell in enumerate(cells):
+    for index, spec in enumerate(specs):
         value = recorded.get(index)
         if isinstance(value, CellResult):
             results[index] = value
             journal_hits += 1
             continue
         if cache is not None:
-            try:
-                keys[index] = cache.key_for(_cell_payload(cell, backlog_stride))
-            except (UncacheableValue, RecursionError):
-                keys[index] = None
-            if keys[index] is not None:
-                value = cache.get(keys[index])
-                if value is not MISS:
-                    results[index] = value
-                    hits += 1
-                    if journal is not None:
-                        journal.record(index, cell.name, value)
-                    continue
+            keys[index] = cache.key_for(_cell_payload(spec, backlog_stride))
+            value = cache.get(keys[index])
+            if value is not MISS:
+                results[index] = value
+                hits += 1
+                if journal is not None:
+                    journal.record(index, spec.name, value)
+                continue
         pending.append(index)
 
     tasks = [
-        functools.partial(_execute_cell, cells[index], backlog_stride, engine)
+        functools.partial(_execute_cell, specs[index], backlog_stride, engine)
         for index in pending
     ]
 
@@ -513,10 +390,10 @@ def _run_grid_report(
         if isinstance(value, TaskError):
             return
         index = pending[slot]
-        if cache is not None and keys[index] is not None:
+        if cache is not None:
             cache.put(keys[index], value)
         if journal is not None:
-            journal.record(index, cells[index].name, value)
+            journal.record(index, specs[index].name, value)
 
     try:
         run = run_tasks(
@@ -538,7 +415,7 @@ def _run_grid_report(
         value = run.values[slot]
         if isinstance(value, TaskError):
             failures.append(
-                CellFailure(index=index, name=cells[index].name, error=value)
+                CellFailure(index=index, name=specs[index].name, error=value)
             )
             continue
         results[index] = value
@@ -556,7 +433,7 @@ def _run_grid_report(
 
 
 def run_grid(
-    cells: Sequence[ExperimentCell],
+    specs: Sequence[ScenarioSpec],
     backlog_stride: int = 8,
     *,
     jobs: int = 1,
@@ -571,22 +448,24 @@ def run_grid(
     """Run every cell; results in cell order (deterministic runs).
 
     ``backlog_stride`` is passed through to every cell's
-    :class:`~repro.core.trace.Trace` (it used to be silently dropped).
-    ``jobs`` fans the grid out on the :mod:`repro.exec` process pool —
-    bit-identical results, less wall time.  ``cache`` memoizes
-    completed cells content-addressed by their configuration.
-    ``task_timeout``/``retries``/``journal``/``resume`` are forwarded
-    to :func:`run_grid_report`; unlike the report form, this list form
-    raises if any cell still failed after its retries — a shorter
-    result list must never pass silently.
+    :class:`~repro.core.trace.Trace`.  ``jobs`` fans the grid out on
+    the :mod:`repro.exec` process pool — bit-identical results, less
+    wall time.  ``cache`` memoizes completed cells content-addressed by
+    their specs.  ``task_timeout``/``retries``/``journal``/``resume``
+    are forwarded to :func:`run_grid_report`; unlike the report form,
+    this list form raises if any cell still failed after its retries —
+    a shorter result list must never pass silently.
 
-    >>> [r.name for r in run_grid([_demo_cell()])]
+    >>> from repro.scenarios import ScenarioSpec
+    >>> spec = ScenarioSpec(name="demo", algorithm="rrw", n=2, max_slot=1,
+    ...                     schedule="sync", rho="1/2", horizon=120)
+    >>> [r.name for r in run_grid([spec])]
     ['demo']
-    >>> run_grid([_demo_cell()], backlog_stride=4) == [run_cell(_demo_cell(), 4)]
+    >>> run_grid([spec], backlog_stride=4) == [run_cell(spec, 4)]
     True
     """
     report = run_grid_report(
-        cells,
+        specs,
         backlog_stride,
         jobs=jobs,
         cache=cache,
@@ -609,8 +488,11 @@ def write_csv(results: Iterable[CellResult], path: str) -> None:
     """Serialize results; the header is the union of all row keys.
 
     >>> import os, tempfile
+    >>> from repro.scenarios import ScenarioSpec
+    >>> spec = ScenarioSpec(algorithm="rrw", n=2, max_slot=1,
+    ...                     schedule="sync", rho="1/2", horizon=120)
     >>> target = os.path.join(tempfile.mkdtemp(), "grid.csv")
-    >>> write_csv([run_cell(_demo_cell())], target)
+    >>> write_csv([run_cell(spec)], target)
     >>> open(target).readline().startswith("name,horizon,delivered")
     True
     """

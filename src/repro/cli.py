@@ -676,37 +676,40 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if envelope.get("status") == "ok" else 1
 
 
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    if args.construction == "mirror":
-        r = _int_flag("--realized-r", args.realized_r)
-        factory = lambda sid: ABSLeaderElection(sid, r)  # noqa: E731
-        result = run_mirror_adversary(factory, args.n, r)
-        verify_mirror_execution(factory, result)
-        print(f"mirror adversary vs ABS: n={args.n} r={r}")
-        print(f"  phases sustained:  {len(result.phases)}")
-        print(f"  slots forced:      {result.slots_forced}")
-        print(f"  formula bound:     {float(sst_lower_bound_slots(args.n, r)):.1f}")
-        print(f"  survivors:         {result.survivors}")
-        print("  realized schedule replayed: 0 successes (verified)")
-        return 0
-    if args.construction == "thm4":
-        result = force_collision_or_overflow(
-            lambda sid: NaiveTDMA(sid, 2),
-            queue_limit=args.queue_limit,
-            rho=args.rho,
-            max_slot_length=args.max_slot,
-        )
-        print(f"Theorem 4 vs NaiveTDMA: L={args.queue_limit} rho={args.rho} "
-              f"R={args.max_slot}")
-        print(f"  outcome:     {result.outcome}")
-        print(f"  S / alpha / beta: {result.start_slot} / "
-              f"{result.probe_s1.first_attempt_offset} / "
-              f"{result.probe_s2.first_attempt_offset}")
-        if result.collision_time is not None:
-            print(f"  X / Y:       {result.slot_length_s1} / {result.slot_length_s2}")
-            print(f"  collision at t = {result.collision_time} (replayed)")
-        return 0
-    # rate1: argparse's choices admit no other construction.
+def _cmd_adversary_mirror(args: argparse.Namespace) -> int:
+    r = _int_flag("--realized-r", args.realized_r)
+    factory = lambda sid: ABSLeaderElection(sid, r)  # noqa: E731
+    result = run_mirror_adversary(factory, args.n, r)
+    verify_mirror_execution(factory, result)
+    print(f"mirror adversary vs ABS: n={args.n} r={r}")
+    print(f"  phases sustained:  {len(result.phases)}")
+    print(f"  slots forced:      {result.slots_forced}")
+    print(f"  formula bound:     {float(sst_lower_bound_slots(args.n, r)):.1f}")
+    print(f"  survivors:         {result.survivors}")
+    print("  realized schedule replayed: 0 successes (verified)")
+    return 0
+
+
+def _cmd_adversary_thm4(args: argparse.Namespace) -> int:
+    result = force_collision_or_overflow(
+        lambda sid: NaiveTDMA(sid, 2),
+        queue_limit=args.queue_limit,
+        rho=args.rho,
+        max_slot_length=args.max_slot,
+    )
+    print(f"Theorem 4 vs NaiveTDMA: L={args.queue_limit} rho={args.rho} "
+          f"R={args.max_slot}")
+    print(f"  outcome:     {result.outcome}")
+    print(f"  S / alpha / beta: {result.start_slot} / "
+          f"{result.probe_s1.first_attempt_offset} / "
+          f"{result.probe_s2.first_attempt_offset}")
+    if result.collision_time is not None:
+        print(f"  X / Y:       {result.slot_length_s1} / {result.slot_length_s2}")
+        print(f"  collision at t = {result.collision_time} (replayed)")
+    return 0
+
+
+def _cmd_adversary_rate1(args: argparse.Namespace) -> int:
     _dynamic_algorithm_or_exit(args.algorithm)
     spec = ScenarioSpec(
         algorithm=args.algorithm,
@@ -1088,16 +1091,29 @@ def build_parser() -> argparse.ArgumentParser:
     sst_p.set_defaults(handler=_cmd_sst)
 
     adv_p = sub.add_parser("adversary", help="run a theorem construction")
-    adv_p.add_argument("construction", choices=["mirror", "thm4", "rate1"])
-    adv_p.add_argument("--n", type=int, default=64)
-    adv_p.add_argument("--realized-r", default="4")
-    adv_p.add_argument("--queue-limit", type=int, default=16)
-    adv_p.add_argument("--rho", default="1/2")
-    adv_p.add_argument("--max-slot", default="2")
-    adv_p.add_argument("--algorithm", default="ca-arrow")
-    adv_p.add_argument("--horizon", default="5000")
-    adv_p.add_argument("--seed", type=int, default=0)
-    adv_p.set_defaults(handler=_cmd_adversary)
+    adv_sub = adv_p.add_subparsers(dest="construction", required=True)
+    mirror_p = adv_sub.add_parser(
+        "mirror", help="Thm 2: the mirror adversary against ABS"
+    )
+    mirror_p.add_argument("--n", type=int, default=64)
+    mirror_p.add_argument("--realized-r", default="4")
+    mirror_p.set_defaults(handler=_cmd_adversary_mirror)
+    thm4_p = adv_sub.add_parser(
+        "thm4", help="Thm 4: force a collision or a queue overflow"
+    )
+    thm4_p.add_argument("--queue-limit", type=int, default=16)
+    thm4_p.add_argument("--rho", default="1/2")
+    thm4_p.add_argument("--max-slot", default="2")
+    thm4_p.set_defaults(handler=_cmd_adversary_thm4)
+    rate1_p = adv_sub.add_parser(
+        "rate1", help="Thm 5: backlog growth at injection rate 1"
+    )
+    rate1_p.add_argument("--n", type=int, default=64)
+    rate1_p.add_argument("--max-slot", default="2")
+    rate1_p.add_argument("--algorithm", default="ca-arrow")
+    rate1_p.add_argument("--horizon", default="5000")
+    rate1_p.add_argument("--seed", type=int, default=0)
+    rate1_p.set_defaults(handler=_cmd_adversary_rate1)
 
     bounds_p = sub.add_parser("bounds", help="print closed-form bounds")
     bounds_p.add_argument("--n", type=int, default=8)

@@ -15,8 +15,9 @@ composable but independently usable:
   :class:`RunHealth` ledger.
 * :mod:`repro.exec.cache` — :class:`ResultCache`, a content-addressed
   store under ``.repro-cache/`` keyed by a canonical fingerprint of
-  each task's configuration plus a hash of the ``repro`` sources (so
-  editing code invalidates everything automatically).  Hardened:
+  each task's configuration (a grid cell's scenario spec) plus a hash
+  of the ``repro`` sources (so editing code invalidates everything
+  automatically).  Hardened:
   advisory inter-process locking, self-verifying digest entries, and
   a ``verify``/quarantine pass for corrupt files.
 * :mod:`repro.exec.resilience` — the fault-tolerance primitives:
@@ -35,9 +36,9 @@ composable but independently usable:
   tick-lattice timebase with inline parity assertions, plus the
   engine-bookkeeping overhead measurement CI polices.
 
-The high-level entry points most callers want live one layer up, in
-:mod:`repro.analysis`: ``run_grid(cells, jobs=4, cache=...)`` and
-``sweep_seeds(measure, seeds, jobs=4)`` delegate here.  See
+The high-level entry point most callers want lives one layer up, in
+:mod:`repro.analysis`: ``run_grid(specs, jobs=4, cache=...)`` delegates
+here.  See
 ``docs/experiments.md`` for the end-to-end workflow and
 ``docs/robustness.md`` for the failure model.
 """
@@ -46,7 +47,6 @@ from .cache import (
     MISS,
     CacheVerification,
     ResultCache,
-    UncacheableValue,
     canonical_key,
     code_salt,
     fingerprint,
@@ -88,7 +88,6 @@ __all__ = [
     "RunHealth",
     "TaskError",
     "TruncatingCache",
-    "UncacheableValue",
     "backoff_delay",
     "canonical_key",
     "chaos_tasks",

@@ -1,11 +1,11 @@
-"""Content-addressed result cache for experiment cells and sweep samples.
+"""Content-addressed result cache for grid cells and served artifacts.
 
-Re-running an unchanged grid should cost nothing.  Each task (one
-experiment cell, one seed sample) is keyed by a SHA-256 over its
-*canonicalized* configuration — algorithm factories, adversary, rate,
-horizon, seed, backlog stride — plus a **code-version salt**: a hash
-of every ``repro`` source file.  Any change to the package's code, or
-to any knob that could change the simulation, changes the key; the old
+Re-running an unchanged grid should cost nothing.  Each task (one grid
+cell, one daemon-served run artifact) is keyed by a SHA-256 over its
+*canonicalized* configuration — the scenario spec's canonical JSON,
+horizon, backlog stride — plus a **code-version salt**: a hash of
+every ``repro`` source file.  Any change to the package's code, or to
+any knob that could change the simulation, changes the key; the old
 entries simply stop being addressed (content addressing *is* the
 invalidation rule).  Explicit invalidation is still available via
 :meth:`ResultCache.invalidate` / :meth:`ResultCache.clear` and the
@@ -19,21 +19,13 @@ pickle, not JSON, because results carry exact
     .repro-cache/
       ab/abcdef0123....pkl      # two-level fan-out by key prefix
 
-Fingerprinting callables: factories are usually lambdas closing over
-plain values (``n``, ``R``, ``"1/2"``).  A function is fingerprinted
-by its qualified name, bytecode, constants, default arguments, and the
-values in its closure (recursively).  Anything whose identity cannot
-be captured stably — an object whose ``repr`` embeds a memory address,
-an open file — raises :class:`UncacheableValue`; callers treat that
-task as simply not cacheable and execute it every time.
-
-Canonical-form fast path: an object exposing ``__cache_form__()`` (a
-method returning a JSON-native description of everything behavior-
-relevant) is keyed by that form instead of any bytecode walking.
-:class:`repro.scenarios.ScenarioSpec` uses this, so spec-backed grid
-cells keep their cache keys across cosmetic edits to the closures and
-modules around them — and the key is identical whether the spec was
-built in Python or parsed from a ``scenarios/*.json`` file.
+:func:`fingerprint` describes exactly the values a payload holds:
+JSON-native values, floats, Fractions, sequences, mappings, and
+objects exposing ``__cache_form__()`` (a method returning a JSON-native
+description of everything behavior-relevant).
+:class:`repro.scenarios.ScenarioSpec` is such an object, so a cell's key
+is identical whether its spec was built in Python or parsed from a
+``scenarios/*.json`` file.  Anything else raises :class:`TypeError`.
 
 Crash and concurrency hardening (see ``docs/robustness.md``): entries
 are written scratch-file-then-rename (atomic on POSIX) under a
@@ -48,18 +40,16 @@ every entry and quarantines the corrupt ones.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
 import os
 import pickle
 import shutil
-import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Iterator, List, Mapping, Optional
 
 try:  # Advisory inter-process locking is POSIX-only; degrade quietly.
     import fcntl
@@ -72,15 +62,10 @@ __all__ = [
     "MISS",
     "CacheVerification",
     "ResultCache",
-    "UncacheableValue",
     "canonical_key",
     "code_salt",
     "fingerprint",
 ]
-
-
-class UncacheableValue(ValueError):
-    """A value whose content cannot be fingerprinted stably."""
 
 
 class _Miss:
@@ -95,52 +80,21 @@ class _Miss:
 MISS = _Miss()
 
 
-def _code_fingerprint(code: types.CodeType) -> Dict[str, Any]:
-    """Stable content description of a code object (recursive)."""
-    return {
-        "name": code.co_name,
-        "bytecode": hashlib.sha256(code.co_code).hexdigest(),
-        "consts": [
-            _code_fingerprint(const)
-            if isinstance(const, types.CodeType)
-            else fingerprint(const)
-            for const in code.co_consts
-        ],
-        "names": list(code.co_names),
-    }
-
-
-def _function_fingerprint(fn: types.FunctionType) -> Dict[str, Any]:
-    closure = [
-        fingerprint(cell.cell_contents) for cell in (fn.__closure__ or ())
-    ]
-    return {
-        "kind": "function",
-        "module": fn.__module__,
-        "qualname": fn.__qualname__,
-        "code": _code_fingerprint(fn.__code__),
-        "closure": closure,
-        "defaults": fingerprint(fn.__defaults__),
-        "kwdefaults": fingerprint(fn.__kwdefaults__),
-    }
-
-
 def fingerprint(value: Any) -> Any:
     """Canonical, JSON-serializable content description of ``value``.
 
     Equal configurations map to equal fingerprints across processes
     and runs; configurations that differ in any behavior-relevant way
-    map to different ones.  Raises :class:`UncacheableValue` when no
-    stable description exists.
+    map to different ones.  Raises :class:`TypeError` for a value
+    outside the payload vocabulary (see the module docstring).
+
+    >>> fingerprint({"rho": Fraction(1, 2), "n": [3, 4]})
+    {'mapping': {'"rho"': {'fraction': '1/2'}, '"n"': [3, 4]}}
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     form = getattr(value, "__cache_form__", None)
     if form is not None and callable(form):
-        # The canonical-form fast path: objects (notably
-        # repro.scenarios.ScenarioSpec) that know their own stable JSON
-        # identity are keyed by it directly — no bytecode walking, so
-        # cosmetic edits to calling code cannot change the key.
         return {
             "kind": "cache-form",
             "class": f"{type(value).__module__}.{type(value).__qualname__}",
@@ -150,12 +104,8 @@ def fingerprint(value: Any) -> Any:
         return {"float": repr(value)}
     if isinstance(value, Fraction):
         return {"fraction": str(value)}
-    if isinstance(value, bytes):
-        return {"bytes": hashlib.sha256(value).hexdigest()}
     if isinstance(value, (list, tuple)):
         return [fingerprint(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return {"set": sorted(json.dumps(fingerprint(v), sort_keys=True) for v in value)}
     if isinstance(value, Mapping):
         return {
             "mapping": {
@@ -163,40 +113,10 @@ def fingerprint(value: Any) -> Any:
                 for k, v in value.items()
             }
         }
-    if isinstance(value, functools.partial):
-        return {
-            "kind": "partial",
-            "func": fingerprint(value.func),
-            "args": fingerprint(value.args),
-            "keywords": fingerprint(value.keywords),
-        }
-    if isinstance(value, types.FunctionType):  # includes lambdas & closures
-        return _function_fingerprint(value)
-    if isinstance(value, types.MethodType):
-        return {
-            "kind": "method",
-            "func": _function_fingerprint(value.__func__),
-            "self": fingerprint(value.__self__),
-        }
-    if isinstance(value, type):
-        return {"kind": "class", "module": value.__module__, "qualname": value.__qualname__}
-    if isinstance(value, types.BuiltinFunctionType):
-        return {"kind": "builtin", "module": value.__module__, "name": value.__qualname__}
-    # Arbitrary instances: their attribute dict, when they have one,
-    # plus the class identity; otherwise a repr that must be stable.
-    state = getattr(value, "__dict__", None)
-    if state is not None:
-        return {
-            "kind": "instance",
-            "class": f"{type(value).__module__}.{type(value).__qualname__}",
-            "state": fingerprint(state),
-        }
-    text = repr(value)
-    if " at 0x" in text or "object at" in text:
-        raise UncacheableValue(
-            f"cannot fingerprint {type(value).__qualname__}: repr embeds identity"
-        )
-    return {"kind": "repr", "class": type(value).__qualname__, "text": text}
+    raise TypeError(
+        f"cannot fingerprint a {type(value).__qualname__}: a cache payload "
+        "holds JSON-native values, Fractions and __cache_form__ objects"
+    )
 
 
 def canonical_key(payload: Mapping[str, Any], salt: str = "") -> str:

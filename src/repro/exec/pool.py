@@ -1,10 +1,10 @@
 """Fault-tolerant process-pool task execution with deterministic reassembly.
 
-Every sweep and experiment grid in this repository is embarrassingly
-parallel: cells are independent simulations that share no state.  This
-module turns a list of zero-argument task callables into a list of
-results, either serially or across a pool of forked workers, with one
-hard guarantee: **the output is bit-identical regardless of ``jobs``**.
+Every experiment grid in this repository is embarrassingly parallel:
+cells are independent simulations that share no state.  This module
+turns a list of zero-argument task callables into a list of results,
+either serially or across a pool of forked workers, with one hard
+guarantee: **the output is bit-identical regardless of ``jobs``**.
 
 Determinism comes from two rules:
 
@@ -18,11 +18,10 @@ Determinism comes from two rules:
    inherits the parent's memory and returns a single picklable value.
    Tasks must not rely on side effects in the parent.
 
-The pool uses the ``fork`` start method so task *closures* (lambdas
-over ``n, R, rho`` and friends — the idiom everywhere in
-``benchmarks/``) never need to be pickled: workers inherit the task
-list via fork and are sent only integer indices.  On platforms
-without fork (Windows, some macOS configurations) — or when
+The pool uses the ``fork`` start method so task *closures* (lambdas,
+or the grid's partials over a spec) never need to be pickled: workers
+inherit the task list via fork and are sent only integer indices.  On
+platforms without fork (Windows, some macOS configurations) — or when
 ``jobs=1`` — execution falls back to a plain serial loop with the
 same semantics.
 
@@ -52,12 +51,10 @@ Everything the recovery machinery did is reported in
 
 Worker-side observability: each task may build its own
 :class:`repro.obs.SimulationMetrics` pack and fold its snapshot into
-the returned value; :func:`run_tasks` additionally records which
-worker (pid) ran each task so callers can aggregate per-worker.  The
-parent reports progress through the existing rate-limited
-:class:`repro.obs.ProgressReporter` via its :meth:`tick` hook, and an
-``on_result`` hook fires in the parent as each task completes — the
-grid journal checkpoints through it.
+the returned value.  The parent reports progress through the existing
+rate-limited :class:`repro.obs.ProgressReporter` via its :meth:`tick`
+hook, and an ``on_result`` hook fires in the parent as each task
+completes — the grid journal checkpoints through it.
 """
 
 from __future__ import annotations
@@ -130,9 +127,9 @@ def _worker_loop(conn) -> None:
             else None
         )
         try:
-            reply = ("ok", index, os.getpid(), _FORK_TASKS[index]())
+            reply = ("ok", index, _FORK_TASKS[index]())
         except BaseException as exc:
-            reply = ("err", index, os.getpid(), _portable_error(exc))
+            reply = ("err", index, _portable_error(exc))
             if span is not None:
                 span.set(outcome="error")
         if span is not None:
@@ -145,7 +142,7 @@ def _worker_loop(conn) -> None:
             conn.send(reply)
         except Exception as exc:
             # The *value* would not pickle — report that as the failure.
-            conn.send(("err", index, os.getpid(), _portable_error(exc)))
+            conn.send(("err", index, _portable_error(exc)))
 
 
 class _Worker:
@@ -222,18 +219,13 @@ class PoolRun:
 
     ``values`` is in submission order; with ``on_error="capture"`` a
     slot may hold a :class:`~repro.exec.TaskError` instead of a task's
-    value.  ``workers`` maps each worker pid to the number of tasks it
-    completed (a single entry — the parent pid — for serial runs).
-    ``task_workers[i]`` is the pid that ran task ``i`` (0 for a failed
-    task).  ``health`` is the resilience ledger for the run.
+    value.  ``health`` is the resilience ledger for the run.
     """
 
     values: List[Any]
     jobs: int
     mode: str  # "serial" | "fork-pool"
     wall_s: float
-    workers: Dict[int, int] = field(default_factory=dict)
-    task_workers: List[int] = field(default_factory=list)
     health: RunHealth = field(default_factory=RunHealth)
 
 
@@ -362,24 +354,18 @@ def _run_tasks(
             describe=describe,
             health=health,
         )
-        pid = os.getpid()
-        completed = sum(1 for v in values if not isinstance(v, TaskError))
         return PoolRun(
             values=values,
             jobs=1,
             mode="serial",
             wall_s=time.perf_counter() - started,
-            workers={pid: completed} if completed else {},
-            task_workers=[
-                0 if isinstance(v, TaskError) else pid for v in values
-            ],
             health=health,
         )
 
     context = multiprocessing.get_context("fork")
     _FORK_TASKS = tasks
     try:
-        values, task_workers, workers = _run_pool(
+        values = _run_pool(
             tasks,
             context,
             max_workers=min(jobs, total),
@@ -399,8 +385,6 @@ def _run_tasks(
         jobs=jobs,
         mode="fork-pool",
         wall_s=time.perf_counter() - started,
-        workers=workers,
-        task_workers=task_workers,
         health=health,
     )
 
@@ -486,12 +470,10 @@ def _run_pool(
     progress: Optional[ProgressReporter],
     describe,
     health: RunHealth,
-) -> Tuple[List[Any], List[int], Dict[int, int]]:
+) -> List[Any]:
     """The resilient worker-pool loop (see module docstring)."""
     total = len(tasks)
     values: List[Any] = [None] * total
-    task_workers: List[int] = [0] * total
-    worker_counts: Dict[int, int] = {}
     done = [False] * total
     completed = 0
     todo: deque = deque((index, 1) for index in range(total))
@@ -529,16 +511,13 @@ def _run_pool(
                 ordinal=worker.ordinal,
             )
 
-    def settle(index: int, value: Any, pid: int) -> None:
+    def settle(index: int, value: Any) -> None:
         nonlocal completed
         if done[index]:  # pragma: no cover - defensive double-settle guard
             return
         done[index] = True
         completed += 1
         values[index] = value
-        task_workers[index] = pid
-        if pid:
-            worker_counts[pid] = worker_counts.get(pid, 0) + 1
         if on_result is not None:
             on_result(index, value)
         if progress is not None:
@@ -573,7 +552,6 @@ def _run_pool(
                 message=message,
                 traceback_text=tb_text,
             ),
-            0,
         )
 
     def retire(worker: _Worker, graceful: bool) -> None:
@@ -584,13 +562,13 @@ def _run_pool(
         need_respawn += 1
 
     def handle_reply(worker: _Worker, reply) -> None:
-        status, index, pid, payload = reply
+        status, index, payload = reply
         dispatch_ts = worker.dispatch_ts
         worker.settle()
         attempt = worker_attempts.pop(index, 1)
         if status == "ok":
             trace_attempt(index, attempt, dispatch_ts, "ok", False)
-            settle(index, payload, pid)
+            settle(index, payload)
         else:
             failed(index, attempt, "error", payload, dispatch_ts)
 
@@ -637,10 +615,8 @@ def _run_pool(
                                 describe=describe,
                                 health=health,
                                 values=values,
-                                task_workers=task_workers,
-                                worker_counts=worker_counts,
                             )
-                            return values, task_workers, worker_counts
+                            return values
                         break
                     spawn_failures = 0
                     if need_respawn:
@@ -760,7 +736,7 @@ def _run_pool(
         for worker in workers:
             trace_worker_end(worker)
             worker.stop(graceful=True)
-    return values, task_workers, worker_counts
+    return values
 
 
 def _wait_timeout(
@@ -801,8 +777,6 @@ def _drain_serially(
     describe,
     health: RunHealth,
     values: List[Any],
-    task_workers: List[int],
-    worker_counts: Dict[int, int],
 ) -> None:
     """Degraded mode: finish every unfinished task in-process."""
     remaining = sorted(
@@ -810,7 +784,6 @@ def _drain_serially(
         | {index for _, index, _ in retry_heap}
         | {index for index, settled in enumerate(done) if not settled}
     )
-    pid = os.getpid()
     _run_serial(
         tasks,
         remaining,
@@ -823,7 +796,3 @@ def _drain_serially(
         health=health,
         values=values,
     )
-    for index in remaining:
-        if not isinstance(values[index], TaskError):
-            task_workers[index] = pid
-            worker_counts[pid] = worker_counts.get(pid, 0) + 1

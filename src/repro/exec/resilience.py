@@ -1,9 +1,9 @@
 """Fault-tolerance primitives for the execution engine.
 
-Adversarial grids and fuzzing sweeps run for hours, and their
-worst-case cells are *designed* to be pathological — a single hung or
-OOM-killed worker must not abort the whole run, and a Ctrl-C must not
-discard every finished-but-unreported cell.  This module holds the
+Adversarial grids run for hours, and their worst-case cells are
+*designed* to be pathological — a single hung or OOM-killed worker
+must not abort the whole run, and a Ctrl-C must not discard every
+finished-but-unreported cell.  This module holds the
 pieces the resilient engine is built from:
 
 * :class:`RunHealth` — the structured bookkeeping block (retries,

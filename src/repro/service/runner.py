@@ -2,8 +2,8 @@
 
 :func:`plan` turns a request into a :class:`RunPlan` — the request
 plus everything resolved against the local environment: the
-:class:`~repro.exec.ResultCache` instance, the journal path (including
-the cache-adjacent ``--resume`` default), the grid cells.  :func:`execute`
+:class:`~repro.exec.ResultCache` instance and the journal path
+(including the cache-adjacent ``--resume`` default).  :func:`execute`
 runs the plan on the :mod:`repro.exec` engine and returns a uniform
 :class:`RunResult` envelope whatever the command was: metrics,
 manifest, :class:`~repro.exec.RunHealth`, history id, artifact/trace
@@ -39,7 +39,6 @@ from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..analysis import abs_slot_upper_bound, collect_metrics, write_csv
 from ..analysis.experiments import (
-    ExperimentCell,
     GridReport,
     emit_phase_spans,
     run_grid_report,
@@ -95,8 +94,6 @@ class RunPlan:
     cache: Optional[ResultCache] = None
     #: The journal path in effect (the ``--resume`` default applied).
     journal: Optional[str] = None
-    #: One cell per spec, in spec order (grid command only).
-    cells: Tuple[ExperimentCell, ...] = ()
 
 
 @dataclass
@@ -195,9 +192,9 @@ def plan(request: RunRequest) -> RunPlan:
 
     Pure resolution, no execution: validates command/spec fit (an SST
     request must name an SST algorithm), instantiates the result
-    cache, applies the resume-journal default, and builds the grid
-    cells.  Raises :class:`~repro.core.errors.ConfigurationError` on
-    anything unresolvable.
+    cache and applies the resume-journal default.  Raises
+    :class:`~repro.core.errors.ConfigurationError` on anything
+    unresolvable.
     """
     options = request.options
     if request.command == "sst":
@@ -209,7 +206,6 @@ def plan(request: RunRequest) -> RunPlan:
             )
     cache = None
     journal = options.journal
-    cells: Tuple[ExperimentCell, ...] = ()
     if request.command == "grid":
         if options.cache:
             cache = ResultCache(options.cache_dir)
@@ -219,10 +215,7 @@ def plan(request: RunRequest) -> RunPlan:
             journal = str(
                 pathlib.Path(options.cache_dir) / "grid-journal.jsonl"
             )
-        cells = tuple(
-            ExperimentCell.from_spec(spec) for spec in request.specs
-        )
-    return RunPlan(request=request, cache=cache, journal=journal, cells=cells)
+    return RunPlan(request=request, cache=cache, journal=journal)
 
 
 def execute(
@@ -422,14 +415,14 @@ def _execute_run(
 
 
 def _execute_grid(plan_: RunPlan) -> RunResult:
-    """A cell grid on the exec pool — the body behind ``repro grid``."""
+    """A spec grid on the exec pool — the body behind ``repro grid``."""
     request = plan_.request
     options = request.options
     progress = None
     if options.progress:
         progress = ProgressReporter(every_events=1, min_interval_s=1.0)
     report = run_grid_report(
-        list(plan_.cells),
+        request.specs,
         backlog_stride=options.backlog_stride,
         jobs=options.jobs,
         cache=plan_.cache,

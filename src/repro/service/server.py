@@ -50,10 +50,10 @@ import pathlib
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, IO, Optional
+from typing import Any, Dict, IO
 
 from ..core.errors import ConfigurationError
-from ..exec import MISS, JournalMismatch, ResultCache
+from ..exec import JournalMismatch, ResultCache
 from ..obs import git_sha
 from .request import SERVICE_SCHEMA_VERSION, RunRequest
 from .runner import RunResult, execute, record_history
@@ -224,14 +224,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _serve_run(self, request: RunRequest) -> None:
         started = time.perf_counter()
         cache = self.server.artifact_cache
-        key: Optional[str] = None
-        try:
-            key = cache.key_for(
-                {"kind": "serve-artifact", "request": request.canonical()}
-            )
-        except Exception:
-            key = None
-        stored = cache.get(key) if key is not None else MISS
+        key = cache.key_for(
+            {"kind": "serve-artifact", "request": request.canonical()}
+        )
+        stored = cache.get(key)
         if isinstance(stored, dict) and "artifact" in stored:
             envelope = dict(stored.get("envelope") or {})
             envelope["served_from"] = "cache"
@@ -280,10 +276,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             chunks.finish()
             return
         envelope = result.envelope()
-        if key is not None:
-            cache.put(
-                key, {"artifact": buffer.getvalue(), "envelope": envelope}
-            )
+        cache.put(key, {"artifact": buffer.getvalue(), "envelope": envelope})
         chunks.write(json.dumps({"type": "service", **envelope}) + "\n")
         chunks.finish()
 

@@ -29,7 +29,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.algorithms import CAArrow, RRW, SlottedAloha
-from repro.analysis import ExperimentCell, run_cell
+from repro.analysis import run_cell
 from repro.arrivals import ArrivalSource, UniformRate
 from repro.core import Simulator, execution_signature
 from repro.core.batch import (
@@ -702,7 +702,7 @@ class TestBatchObjectParity:
 
     def test_engine_choice_never_reaches_results(self):
         """Grid cells agree on everything a CellResult records."""
-        cell = ExperimentCell.from_spec(spec_for("rrw", horizon=400), name="parity")
+        cell = spec_for("rrw", horizon=400).replace(name="parity")
         object_result = run_cell(cell, engine="object")
         batch_result = run_cell(cell, engine="batch")
         assert object_result.engine == "object"
@@ -732,9 +732,7 @@ class TestBatchChaosParity:
         if not fork_available():
             pytest.skip("fork-based pool unavailable")
         cells = [
-            ExperimentCell.from_spec(
-                spec_for("rrw", horizon=300, rho=f"{k}/8"), name=f"b{k}"
-            )
+            spec_for("rrw", horizon=300, rho=f"{k}/8").replace(name=f"b{k}")
             for k in range(1, 6)
         ]
         baseline = [run_cell(c, engine="batch") for c in cells]
@@ -769,9 +767,7 @@ class TestBatchObservability:
     def test_trace_spans_identical_but_for_engine(self, tmp_path):
         """RunHealth-adjacent observability: the cell span records the
         same stable/delivered facts on both engines."""
-        cell = ExperimentCell.from_spec(
-            spec_for("aloha", horizon=300), name="span-parity"
-        )
+        cell = spec_for("aloha", horizon=300).replace(name="span-parity")
         attrs = {}
         for engine in ("object", "batch"):
             tracer = activate(Tracer(spool_dir=tmp_path / engine))

@@ -152,8 +152,7 @@ def test_rejected_value_exits_with_the_named_error(argv, message, tmp_path,
 
 
 #: Text the CLI cannot convert, for every string-typed time or rate flag
-#: a command reads and for the integer ``--realized-r``.  (``thm4``
-#: ignores ``--horizon`` and ``rate1`` ignores ``--rho``.)
+#: a command reads and for the integer ``--realized-r``.
 MALFORMED_VALUES = [
     command + [flag, value]
     for command, flags, values in (
@@ -177,6 +176,39 @@ def test_malformed_value_exits_without_a_traceback(argv, tmp_path,
     code = info.value.code
     assert code == 2 or (isinstance(code, str) and code and "\n" not in code)
     assert capsys.readouterr().out == ""
+
+
+#: A valid value for each flag some ``repro adversary`` construction reads.
+ADVERSARY_FLAGS = {
+    "--n": "16", "--realized-r": "4", "--queue-limit": "8", "--rho": "1/2",
+    "--max-slot": "2", "--algorithm": "ca-arrow", "--horizon": "50",
+    "--seed": "1",
+}
+
+#: (construction, a flag it does not read).
+IGNORED_FLAGS = [
+    (construction, flag)
+    for construction, reads in (
+        ("mirror", ("--n", "--realized-r")),
+        ("thm4", ("--queue-limit", "--rho", "--max-slot")),
+        ("rate1", ("--n", "--max-slot", "--algorithm", "--horizon", "--seed")),
+    )
+    for flag in ADVERSARY_FLAGS
+    if flag not in reads
+]
+
+
+@pytest.mark.parametrize(
+    "construction, flag", IGNORED_FLAGS, ids=[" ".join(c) for c in IGNORED_FLAGS]
+)
+def test_adversary_rejects_a_flag_its_construction_ignores(construction, flag,
+                                                           capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["adversary", construction, flag, ADVERSARY_FLAGS[flag]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_rejected_value_prints_one_line_and_exits_1(tmp_path):

@@ -13,20 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms import CAArrow
-from repro.analysis import (
-    ExperimentCell,
-    run_cell,
-    run_grid,
-    run_grid_report,
-    sweep_seeds,
-    sweep_seeds_report,
-)
-from repro.arrivals import UniformRate
+from repro.analysis import run_cell, run_grid, run_grid_report
 from repro.exec import (
     MISS,
     ResultCache,
-    UncacheableValue,
     canonical_key,
     diff_results,
     fingerprint,
@@ -35,32 +25,14 @@ from repro.exec import (
     run_tasks,
 )
 from repro.obs import ProgressReporter
-from repro.timing import worst_case_for
+from repro.scenarios import ALGORITHMS, RegistryEntry, ScenarioSpec
 
 
 def cell(name="demo", rho="1/2", R=2, horizon=900, labels=None):
-    n = 3
-    return ExperimentCell(
-        name=name,
-        algorithms=lambda: {i: CAArrow(i, n, R) for i in range(1, n + 1)},
-        slot_adversary=lambda: worst_case_for(R),
-        arrival_source=lambda: UniformRate(
-            rho=rho, targets=[1, 2, 3], assumed_cost=R
-        ),
-        max_slot_length=R,
-        horizon=horizon,
-        labels=labels or {"rho": rho},
+    return ScenarioSpec(
+        algorithm="ca-arrow", n=3, max_slot=R, schedule="worst", rho=rho,
+        horizon=horizon, name=name, labels=labels or {"rho": rho},
     )
-
-
-# Module-level so the cache fingerprints it by code, not by a closure
-# whose captured counter would change the key on every call.
-MEASURE_CALLS = {"count": 0}
-
-
-def counting_measure(seed):
-    MEASURE_CALLS["count"] += 1
-    return Fraction(seed % 5, 7)
 
 
 class TestPool:
@@ -118,13 +90,6 @@ class TestFingerprint:
         payload = {"kind": "x", "n": 4}
         assert canonical_key(payload, "a") != canonical_key(payload, "b")
 
-    def test_closure_values_distinguish_lambdas(self):
-        def make(rho):
-            return lambda: rho
-
-        assert fingerprint(make("1/2")) != fingerprint(make("9/10"))
-        assert fingerprint(make("1/2")) == fingerprint(make("1/2"))
-
     def test_fraction_exactness(self):
         assert fingerprint(Fraction(1, 3)) != fingerprint(1 / 3)
         assert fingerprint(Fraction(2, 6)) == fingerprint(Fraction(1, 3))
@@ -133,8 +98,9 @@ class TestFingerprint:
         class Opaque:
             __slots__ = ()
 
-        with pytest.raises(UncacheableValue):
-            fingerprint({"obj": Opaque()})
+        for value in (Opaque(), lambda: 1, {1, 2}, b"bytes"):
+            with pytest.raises(TypeError):
+                fingerprint({"obj": value})
 
 
 class TestResultCache:
@@ -178,10 +144,15 @@ class TestGridEngine:
             assert left == right
 
     def test_parallel_sweep_equals_serial(self):
-        seeds = list(range(6))
-        assert sweep_seeds(counting_measure, seeds, jobs=3) == sweep_seeds(
-            counting_measure, seeds, jobs=1
-        )
+        # A seed sweep is a grid over ``seed``: seeded randomness replays
+        # exactly in forked workers.
+        cells = [
+            cell(name=f"seed{seed}").replace(
+                algorithm="aloha", schedule="random", seed=seed
+            )
+            for seed in range(6)
+        ]
+        assert run_grid(cells, jobs=3) == run_grid(cells, jobs=1)
 
     def test_backlog_stride_passthrough(self):
         # Regression: run_grid used to drop backlog_stride on the floor.
@@ -192,17 +163,31 @@ class TestGridEngine:
         coarse = run_grid([spec], backlog_stride=500)[0]
         assert coarse.peak_backlog <= direct.peak_backlog
 
-    def test_warm_cache_skips_execution(self, tmp_path):
+    def test_warm_cache_skips_execution(self, tmp_path, monkeypatch):
+        builds = []
+        ca_arrow = ALGORITHMS.get("ca-arrow")
+
+        def counting(spec):
+            builds.append(spec.name)
+            return ca_arrow.builder(spec)
+
+        monkeypatch.setitem(ALGORITHMS._entries, "test-counting", RegistryEntry(
+            name="test-counting", builder=counting, meta=ca_arrow.meta,
+        ))
         cache = ResultCache(tmp_path / "c", salt="pinned")
-        seeds = [1, 2, 3]
-        MEASURE_CALLS["count"] = 0
-        cold = sweep_seeds_report(counting_measure, seeds, jobs=1, cache=cache)
-        assert MEASURE_CALLS["count"] == 3
+        cells = [
+            cell(name=f"s{seed}", horizon=300).replace(
+                algorithm="test-counting", seed=seed
+            )
+            for seed in (1, 2, 3)
+        ]
+        cold = run_grid_report(cells, jobs=1, cache=cache)
+        assert builds == ["s1", "s2", "s3"]
         assert (cold.cache_hits, cold.cache_misses) == (0, 3)
-        warm = sweep_seeds_report(counting_measure, seeds, jobs=1, cache=cache)
-        assert MEASURE_CALLS["count"] == 3  # nothing re-ran
+        warm = run_grid_report(cells, jobs=1, cache=cache)
+        assert builds == ["s1", "s2", "s3"]  # nothing re-ran
         assert (warm.cache_hits, warm.cache_misses) == (3, 0)
-        assert warm.stats == cold.stats
+        assert warm.results == cold.results
 
     def test_warm_grid_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="pinned")

@@ -1,28 +1,18 @@
-"""Tests for the declarative experiment runner and CSV export."""
+"""Tests for the spec-grid experiment runner and CSV export."""
 
 import csv
 import io
 
 import pytest
 
-from repro.algorithms import CAArrow
-from repro.analysis import ExperimentCell, run_cell, run_grid, write_csv
-from repro.arrivals import UniformRate
-from repro.timing import Synchronous, worst_case_for
+from repro.analysis import run_cell, run_grid, write_csv
+from repro.scenarios import ScenarioSpec
 
 
 def cell(name="demo", rho="1/2", R=2, horizon=1200, labels=None):
-    n = 3
-    return ExperimentCell(
-        name=name,
-        algorithms=lambda: {i: CAArrow(i, n, R) for i in range(1, n + 1)},
-        slot_adversary=lambda: worst_case_for(R),
-        arrival_source=lambda: UniformRate(
-            rho=rho, targets=[1, 2, 3], assumed_cost=R
-        ),
-        max_slot_length=R,
-        horizon=horizon,
-        labels=labels or {"rho": rho},
+    return ScenarioSpec(
+        algorithm="ca-arrow", n=3, max_slot=R, schedule="worst", rho=rho,
+        horizon=horizon, name=name, labels=labels or {"rho": rho},
     )
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import ExperimentCell, run_grid_report
+from repro.analysis import run_grid_report
 from repro.cli import main
 from repro.core import execution_signature
 from repro.core.errors import ConfigurationError
@@ -281,7 +281,7 @@ class TestGridGolden:
                 labels={"algorithm": algorithm, "rho": "1/2",
                         "schedule": schedule},
             )
-            cells.append(ExperimentCell.from_spec(spec))
+            cells.append(spec)
         for engine in ("auto", "batch"):
             report = run_grid_report(cells, backlog_stride=8, engine=engine)
             rows = [result.as_row() for result in report.results]
@@ -342,7 +342,7 @@ class TestServiceRouting:
             labels={"algorithm": "ca-arrow", "rho": "1/2"},
         )
         engine_report = run_grid_report(
-            [ExperimentCell.from_spec(spec)], backlog_stride=8
+            [spec], backlog_stride=8
         )
         service_report = execute(
             RunRequest(specs=(spec,), command="grid",

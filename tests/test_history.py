@@ -5,17 +5,14 @@ every emitted bench table records one row — automatically, silently,
 and without ever being able to fail the run that produced it — and the
 rows read back with enough fidelity to answer "what ran, how was it
 served, and where is the evidence".  The engine layer
-(``run_grid_report``, ``sweep_seeds_report``) records nothing.
+(``run_grid_report``) records nothing.
 """
 
 import os
 
 import pytest
 
-from repro.algorithms import CAArrow
-from repro.analysis import run_grid_report, sweep_seeds_report
-from repro.analysis.experiments import ExperimentCell
-from repro.arrivals import UniformRate
+from repro.analysis import run_grid_report
 from repro.exec import ResultCache
 from repro.obs import RunHistory, default_db_path, history_enabled
 from repro.obs.history import (
@@ -25,20 +22,12 @@ from repro.obs.history import (
 )
 from repro.scenarios import ScenarioSpec
 from repro.service import RunOptions, RunRequest, execute
-from repro.timing import worst_case_for
 
 
 def cell(name="demo", rho="1/2", horizon=400):
-    n = 3
-    return ExperimentCell(
-        name=name,
-        algorithms=lambda: {i: CAArrow(i, n, 2) for i in range(1, n + 1)},
-        slot_adversary=lambda: worst_case_for(2),
-        arrival_source=lambda: UniformRate(
-            rho=rho, targets=[1, 2, 3], assumed_cost=2
-        ),
-        max_slot_length=2,
-        horizon=horizon,
+    return ScenarioSpec(
+        algorithm="ca-arrow", n=3, max_slot=2, schedule="worst", rho=rho,
+        horizon=horizon, name=name,
     )
 
 
@@ -173,12 +162,6 @@ class TestAutoRecording:
         )
         assert result.history_id is None
         assert not (tmp_path / "cache" / "history.db").exists()
-        assert RunHistory().count() == 0
-
-    def test_sweep_report_records_nothing(self):
-        """Only service requests are recorded; a seed sweep never is."""
-        report = sweep_seeds_report(lambda seed: seed * 2, range(5))
-        assert not hasattr(report, "history_id")
         assert RunHistory().count() == 0
 
     def test_failed_grid_records_failed_status(self, tmp_path, monkeypatch):

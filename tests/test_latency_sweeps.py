@@ -1,17 +1,10 @@
-"""Tests for latency summaries and seed sweeps."""
+"""Tests for latency summaries and seed sweeps (grids over ``seed``)."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.analysis import (
-    LatencySummary,
-    SweepStats,
-    latency_by_station,
-    percentile,
-    summarize_latencies,
-    sweep_seeds,
-)
+from repro.analysis import latency_by_station, percentile, summarize_latencies
 from repro.core import ConfigurationError, Packet
 
 
@@ -90,45 +83,18 @@ class TestSummarizeLatencies:
 
 
 class TestSweeps:
-    def test_aggregates(self):
-        stats = sweep_seeds(lambda seed: seed * 2, range(5))
-        assert stats.count == 5
-        assert stats.mean == 4
-        assert stats.minimum == 0 and stats.maximum == 8
-        assert stats.median == 4
-        assert stats.spread == 8
-
-    def test_even_count_median(self):
-        stats = SweepStats(samples=[Fraction(1), Fraction(3)])
-        assert stats.median == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            sweep_seeds(lambda s: s, [])
-        with pytest.raises(ConfigurationError):
-            SweepStats(samples=[])
-
-    def test_row_renders(self):
-        stats = sweep_seeds(lambda seed: seed, range(3))
-        assert "mean=" in stats.row()
-
     def test_simulation_sweep(self):
-        from repro.algorithms import SlottedAloha
-        from repro.arrivals import UniformRate
-        from repro.core import Simulator
-        from repro.timing import Synchronous
+        from repro.analysis import run_grid
+        from repro.scenarios import ScenarioSpec
 
-        def throughput(seed):
-            n = 3
-            algos = {
-                i: SlottedAloha(i, transmit_probability=1 / n, seed=seed)
-                for i in range(1, n + 1)
-            }
-            src = UniformRate(rho="1/5", targets=[1, 2, 3], assumed_cost=1)
-            sim = Simulator(algos, Synchronous(), 1, arrival_source=src)
-            sim.run(until_time=1500)
-            return len(sim.delivered_packets)
-
-        stats = sweep_seeds(throughput, range(4))
-        assert stats.minimum > 0
-        assert stats.spread < stats.mean  # low variance at low load
+        spec = ScenarioSpec(
+            algorithm="aloha", n=3, max_slot=1, schedule="sync", rho="1/5",
+            horizon=1500,
+        )
+        delivered = [
+            result.metrics.delivered
+            for result in run_grid([spec.replace(seed=seed) for seed in range(4)])
+        ]
+        mean = sum(delivered) / len(delivered)
+        assert min(delivered) > 0
+        assert max(delivered) - min(delivered) < mean  # low variance at low load

@@ -24,15 +24,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms import CAArrow
 from repro.analysis import (
-    ExperimentCell,
     grid_key,
     run_cell,
     run_grid,
     run_grid_report,
 )
-from repro.arrivals import UniformRate
 from repro.exec import (
     MISS,
     ChaosError,
@@ -49,7 +46,7 @@ from repro.exec import (
     fork_available,
     run_tasks,
 )
-from repro.timing import worst_case_for
+from repro.scenarios import ALGORITHMS, RegistryEntry, ScenarioSpec
 
 CHAOS_JOBS = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
 
@@ -59,34 +56,24 @@ needs_fork = pytest.mark.skipif(
 
 
 def cell(name="demo", rho="1/2", R=2, horizon=900, labels=None):
-    n = 3
-    return ExperimentCell(
-        name=name,
-        algorithms=lambda: {i: CAArrow(i, n, R) for i in range(1, n + 1)},
-        slot_adversary=lambda: worst_case_for(R),
-        arrival_source=lambda: UniformRate(
-            rho=rho, targets=[1, 2, 3], assumed_cost=R
-        ),
-        max_slot_length=R,
-        horizon=horizon,
-        labels=labels or {"rho": rho},
+    return ScenarioSpec(
+        algorithm="ca-arrow", n=3, max_slot=R, schedule="worst", rho=rho,
+        horizon=horizon, name=name, labels=labels or {"rho": str(rho)},
     )
 
 
-def failing_cell(name="boom"):
-    def explode():
+@pytest.fixture()
+def failing_cell(monkeypatch):
+    """Cells whose fleet builder raises (a registered algorithm, removed after)."""
+
+    def explode(spec):
         raise ValueError("algorithms factory exploded")
 
-    return ExperimentCell(
-        name=name,
-        algorithms=explode,
-        slot_adversary=lambda: worst_case_for(2),
-        arrival_source=lambda: UniformRate(
-            rho="1/2", targets=[1, 2, 3], assumed_cost=2
-        ),
-        max_slot_length=2,
-        horizon=900,
-    )
+    monkeypatch.setitem(ALGORITHMS._entries, "test-exploding", RegistryEntry(
+        name="test-exploding", builder=explode,
+        meta={"kind": "dynamic", "family": "test-exploding"},
+    ))
+    return lambda name="boom": cell(name=name).replace(algorithm="test-exploding")
 
 
 def sim_tasks(count=5):
@@ -141,7 +128,6 @@ class TestRetriesSerial:
         assert run.values[0] == baseline[0]
         assert run.values[2] == baseline[2]
         assert run.health.failures == 1
-        assert run.task_workers[1] == 0
 
     def test_default_mode_still_raises(self, tmp_path):
         plan = ChaosPlan(events=(ChaosEvent("raise", index=0, attempts=9),))
@@ -257,7 +243,7 @@ class TestDegradedMode:
 
 
 class TestGridFailureSurface:
-    def test_report_names_failed_cells(self):
+    def test_report_names_failed_cells(self, failing_cell):
         cells = [cell(name="ok-a"), failing_cell("boom"), cell(name="ok-b", rho="7/10")]
         report = run_grid_report(cells)
         assert [f.name for f in report.failures] == ["boom"]
@@ -265,7 +251,7 @@ class TestGridFailureSurface:
         assert [r.name for r in report.results] == ["ok-a", "ok-b"]
         assert report.health.failures == 1
 
-    def test_run_grid_raises_with_cell_name(self):
+    def test_run_grid_raises_with_cell_name(self, failing_cell):
         with pytest.raises(RuntimeError, match="boom"):
             run_grid([cell(name="fine"), failing_cell("boom")])
 
@@ -361,7 +347,7 @@ class TestGridJournal:
         report = run_grid_report(other, journal=path)
         assert report.journal_hits == 0
 
-    def test_journal_survives_failed_cells(self, tmp_path):
+    def test_journal_survives_failed_cells(self, tmp_path, failing_cell):
         cells = [cell(name="ok"), failing_cell("bad")]
         path = tmp_path / "grid.jsonl"
         report = run_grid_report(cells, journal=path)

@@ -277,27 +277,24 @@ class TestCacheForm:
         assert fp["form"]["mapping"] is not None
 
     def test_key_survives_cosmetic_closure_edits(self, tmp_path):
-        """The satellite regression: bytecode-fingerprinted closures get
-        new keys on no-op edits; canonical-JSON-keyed specs do not."""
+        """A closure has no cache key at all (its bytecode changes on
+        no-op edits); a spec keyed by canonical JSON keeps its key."""
         cache = ResultCache(tmp_path, salt="fixed")
         spec = ScenarioSpec(algorithm="ca-arrow", n=3, rho="1/2")
 
         def payload(factory):
             return {"kind": "demo", "factory": factory}
 
-        # Two lambdas with identical behavior but different bytecode:
-        # the fingerprint path treats them as different tasks...
-        lam_a = lambda: int(1)  # noqa: E731
-        lam_b = lambda: 1       # noqa: E731
-        assert cache.key_for(payload(lam_a)) != cache.key_for(payload(lam_b))
+        with pytest.raises(TypeError):
+            cache.key_for(payload(lambda: 1))
 
-        # ...while a spec keyed by canonical JSON is stable across a
-        # JSON round-trip (and any cosmetic rebuild of the object).
+        # A spec is stable across a JSON round-trip (and any cosmetic
+        # rebuild of the object).
         clone = ScenarioSpec.from_json(spec.to_json())
         assert cache.key_for(payload(spec)) == cache.key_for(payload(clone))
 
     def test_grid_cache_hit_across_round_trip(self, tmp_path):
-        from repro.analysis import ExperimentCell, run_grid_report
+        from repro.analysis import run_grid_report
 
         spec = ScenarioSpec(
             algorithm="ca-arrow", n=3, rho="1/2", horizon=600,
@@ -305,14 +302,14 @@ class TestCacheForm:
         )
         cache = ResultCache(tmp_path / "c", salt="fixed")
         first = run_grid_report(
-            [ExperimentCell.from_spec(spec)], backlog_stride=8, cache=cache
+            [spec], backlog_stride=8, cache=cache
         )
         assert (cache.hits, cache.misses) == (0, 1)
 
         clone = ScenarioSpec.from_json(spec.to_json())
         cache2 = ResultCache(tmp_path / "c", salt="fixed")
         second = run_grid_report(
-            [ExperimentCell.from_spec(clone)], backlog_stride=8, cache=cache2
+            [clone], backlog_stride=8, cache=cache2
         )
         assert (cache2.hits, cache2.misses) == (1, 0)
         assert (

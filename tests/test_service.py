@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.analysis import ExperimentCell, run_grid_report
+from repro.analysis import run_grid_report
 from repro.core.errors import ConfigurationError
 from repro.obs import RunHistory
 from repro.scenarios import ScenarioSpec
@@ -130,9 +130,7 @@ class TestExecuteParity:
     def test_grid_matches_run_grid_report(self):
         specs = (_spec(rho="3/10"), _spec(rho="7/10"))
         result = execute(RunRequest(specs=specs, command="grid"))
-        report = run_grid_report(
-            [ExperimentCell.from_spec(s) for s in specs], backlog_stride=8
-        )
+        report = run_grid_report(specs, backlog_stride=8)
         assert result.ok
         assert [r.metrics.delivered for r in result.report.results] == [
             r.metrics.delivered for r in report.results

@@ -15,8 +15,7 @@ import json
 import pytest
 
 from repro.algorithms import CAArrow
-from repro.analysis import ExperimentCell, run_grid_report
-from repro.arrivals import UniformRate
+from repro.analysis import run_grid_report
 from repro.exec import (
     ChaosEvent,
     ChaosPlan,
@@ -33,7 +32,7 @@ from repro.obs import (
     render_trace_summary,
     summarize_trace,
 )
-from repro.timing import worst_case_for
+from repro.scenarios import ALGORITHMS, RegistryEntry, ScenarioSpec
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork-based pool unavailable"
@@ -50,16 +49,9 @@ def tracer(tmp_path):
 
 
 def cell(name="demo", rho="1/2", horizon=400):
-    n = 3
-    return ExperimentCell(
-        name=name,
-        algorithms=lambda: {i: CAArrow(i, n, 2) for i in range(1, n + 1)},
-        slot_adversary=lambda: worst_case_for(2),
-        arrival_source=lambda: UniformRate(
-            rho=rho, targets=[1, 2, 3], assumed_cost=2
-        ),
-        max_slot_length=2,
-        horizon=horizon,
+    return ScenarioSpec(
+        algorithm="ca-arrow", n=3, max_slot=2, schedule="worst", rho=rho,
+        horizon=horizon, name=name,
     )
 
 
@@ -239,39 +231,40 @@ class TestGridTracing:
         assert all(s["args"]["aggregate"] is True for s in phases)
 
     @needs_fork
-    def test_chaos_grid_attempts_reconcile_with_health(self, tracer, tmp_path):
+    def test_chaos_grid_attempts_reconcile_with_health(self, tracer, tmp_path,
+                                                       monkeypatch):
         """The acceptance check: a grid disturbed by a transient failure
         and a hung cell leaves a trace whose attempt spans reconcile
         exactly with the grid's RunHealth counters."""
         state = tmp_path / "state"
         state.mkdir()
 
-        def flaky(name, kind):
-            def algorithms():
-                import os
-                import time
+        def flaky_fleet(spec):
+            """CA-ARRoW whose first build raises or hangs (``fault`` label)."""
+            import os
+            import time
 
-                path = os.path.join(state, f"{name}.attempts")
-                fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
-                try:
-                    os.write(fd, b"x")
-                    attempt = os.fstat(fd).st_size
-                finally:
-                    os.close(fd)
-                if attempt == 1:
-                    if kind == "raise":
-                        raise RuntimeError("injected transient failure")
-                    time.sleep(30)  # kind == "hang": blow the task timeout
-                return {i: CAArrow(i, 3, 2) for i in range(1, 4)}
+            path = os.path.join(state, f"{spec.name}.attempts")
+            fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+            try:
+                os.write(fd, b"x")
+                attempt = os.fstat(fd).st_size
+            finally:
+                os.close(fd)
+            if attempt == 1:
+                if spec.labels["fault"] == "raise":
+                    raise RuntimeError("injected transient failure")
+                time.sleep(30)  # "hang": blow the task timeout
+            return {i: CAArrow(i, 3, 2) for i in range(1, 4)}
 
-            base = cell(name=name)
-            return ExperimentCell(
-                name=name,
-                algorithms=algorithms,
-                slot_adversary=base.slot_adversary,
-                arrival_source=base.arrival_source,
-                max_slot_length=2,
-                horizon=400,
+        monkeypatch.setitem(ALGORITHMS._entries, "test-flaky", RegistryEntry(
+            name="test-flaky", builder=flaky_fleet,
+            meta={"kind": "dynamic", "family": "test-flaky"},
+        ))
+
+        def flaky(name, fault):
+            return cell(name=name).replace(
+                algorithm="test-flaky", labels={"fault": fault}
             )
 
         report = run_grid_report(
@@ -304,12 +297,10 @@ class TestGridTracing:
         """A traced ``engine="auto"`` grid keeps a wide cell on the batch
         kernel; only the object-loop cell gets ``sim.*`` spans."""
         pytest.importorskip("numpy")
-        from repro.scenarios import ScenarioSpec
-
-        wide = ExperimentCell.from_spec(ScenarioSpec(
+        wide = ScenarioSpec(
             algorithm="rrw", n=1000, rho="1/2", schedule="sync", horizon=20,
             name="wide",
-        ))
+        )
         report = run_grid_report([wide, cell(name="narrow")], engine="auto")
         assert [r.engine for r in report.results] == ["batch", "object"]
         spans = tracer.spans()
