@@ -80,6 +80,18 @@ class _Miss:
 MISS = _Miss()
 
 
+#: Values :func:`fingerprint` returns as they are, by exact type.
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+#: ``json.dumps(text)`` for a str, without building an encoder.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode_key(key: Any) -> str:
+    """A mapping key's text in a fingerprint."""
+    return json.dumps(fingerprint(key), sort_keys=True)
+
+
 def fingerprint(value: Any) -> Any:
     """Canonical, JSON-serializable content description of ``value``.
 
@@ -91,6 +103,23 @@ def fingerprint(value: Any) -> Any:
     >>> fingerprint({"rho": Fraction(1, 2), "n": [3, 4]})
     {'mapping': {'"rho"': {'fraction': '1/2'}, '"n"': [3, 4]}}
     """
+    # The exact types a spec's canonical form is made of come first; a
+    # str mapping key is encoded as ``json.dumps(key)`` encodes it.
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {
+            "mapping": {
+                _encode_str(k) if type(k) is str else _encode_key(k):
+                    fingerprint(v)
+                for k, v in value.items()
+            }
+        }
+    if kind is list or kind is tuple:
+        return [fingerprint(item) for item in value]
+    if kind is Fraction:
+        return {"fraction": str(value)}
     if value is None or isinstance(value, (bool, int, str)):
         return value
     form = getattr(value, "__cache_form__", None)
@@ -108,10 +137,7 @@ def fingerprint(value: Any) -> Any:
         return [fingerprint(item) for item in value]
     if isinstance(value, Mapping):
         return {
-            "mapping": {
-                json.dumps(fingerprint(k), sort_keys=True): fingerprint(v)
-                for k, v in value.items()
-            }
+            "mapping": {_encode_key(k): fingerprint(v) for k, v in value.items()}
         }
     raise TypeError(
         f"cannot fingerprint a {type(value).__qualname__}: a cache payload "
@@ -119,10 +145,15 @@ def fingerprint(value: Any) -> Any:
     )
 
 
+#: ``json.dumps(document, sort_keys=True, separators=(",", ":"))``,
+#: with one encoder for every key.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_key(payload: Mapping[str, Any], salt: str = "") -> str:
     """SHA-256 hex digest of a canonicalized payload (plus a salt)."""
     document = {"salt": salt, "payload": fingerprint(payload)}
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    blob = _KEY_ENCODER.encode(document)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -271,15 +302,17 @@ class ResultCache:
             return value
 
     def _get(self, key: str) -> Any:
-        path = self.path_for(key)
+        # path_for(key) as text: a hit pays for the read, not for pathlib.
+        path = os.path.join(self.root, key[:2], key + ".pkl")
         try:
-            value = _decode_entry(path.read_bytes())
+            with open(path, "rb") as handle:
+                value = _decode_entry(handle.read())
         except FileNotFoundError:
             self.misses += 1
             return MISS
         except Exception:
             # Truncated write, version skew — drop it and recompute.
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
             self.misses += 1
             return MISS
         self.hits += 1

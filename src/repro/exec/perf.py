@@ -558,6 +558,130 @@ def _measure_observe_overhead(
     }
 
 
+#: The ``cache_hit`` probe's grid cells, (algorithm, schedule, n, rho),
+#: small fleets of the shape of perfbench's ``grid-small`` cells.
+_HIT_CELLS = (
+    ("ca-arrow", "worst", 3, "3/10"),
+    ("ao-arrow", "random", 5, "2/5"),
+    ("aloha", "sync", 6, "1/2"),
+    ("mbtf", "worst", 8, "3/5"),
+    ("rrw", "random", 10, "7/10"),
+    ("ca-arrow", "sync", 12, "4/5"),
+)
+_HIT_GRID_SIZE = 12
+
+
+def _hit_grid_request(cache_dir: str):
+    """A fresh request for the twelve-cell grid (each cell twice, reseeded)."""
+    from ..scenarios import ScenarioSpec
+    from ..service import RunOptions, RunRequest
+
+    specs = []
+    for index in range(_HIT_GRID_SIZE):
+        algorithm, schedule, n, rho = _HIT_CELLS[index % len(_HIT_CELLS)]
+        specs.append(ScenarioSpec(
+            name=f"hit{index}-{algorithm}-n{n}", algorithm=algorithm, n=n,
+            max_slot="2", schedule=schedule, rho=rho, seed=index,
+            horizon=120))
+    return RunRequest(specs=tuple(specs), command="grid",
+                      options=RunOptions(cache=True, cache_dir=cache_dir))
+
+
+def _measure_cache_hit(repeats: int) -> Dict[str, Any]:
+    """What a cache hit costs, against what reading the cache costs.
+
+    In this process: a warm twelve-cell grid ``execute()`` (keys, reads,
+    the history row) against the twelve bare
+    :meth:`~repro.exec.ResultCache.get` reads it makes.  Over HTTP: a
+    ``repro serve`` daemon on a thread replays a cached streamed run
+    (the ``ca_arrow_worst`` case of :data:`OBSERVE_CASES`); the replay
+    through :func:`~repro.service.submit_request` is set against a raw
+    ``urlopen(...).read()`` of the same request, and must relay exactly
+    the raw body's records.  Each figure is the best of at least five.
+    """
+    import tempfile
+    import threading
+    import urllib.request
+
+    from ..analysis.experiments import _cell_payload
+    from ..obs import history_enabled
+    from ..service import (
+        RunOptions,
+        RunRequest,
+        create_server,
+        execute,
+        submit_request,
+    )
+    from .cache import ResultCache
+
+    repeats = max(repeats, 5)
+    best: Dict[str, float] = {}
+
+    def keep(name: str, seconds: float) -> None:
+        best[name] = min(best.get(name, seconds), seconds)
+
+    with tempfile.TemporaryDirectory(prefix="repro-perf-hit-") as root:
+        cache_dir = f"{root}/grid"
+        request = _hit_grid_request(cache_dir)
+        execute(request)
+        cache = ResultCache(cache_dir)
+        stride = request.options.backlog_stride
+        keys = [cache.key_for(_cell_payload(spec, stride))
+                for spec in request.specs]
+        for _ in range(repeats):
+            request = _hit_grid_request(cache_dir)
+            began = perf_counter()
+            result = execute(request)
+            keep("grid_s", perf_counter() - began)
+            if result.served_from != "cache":
+                raise RuntimeError("cache hit probe: the warm grid missed")
+            began = perf_counter()
+            for key in keys:
+                cache.get(key)
+            keep("reads_s", perf_counter() - began)
+
+        server = create_server("127.0.0.1", 0, cache_dir=f"{root}/serve",
+                               quiet=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_port}"
+            replay = RunRequest(specs=(_case_spec(OBSERVE_CASES[1]),),
+                                options=RunOptions())
+            submit_request(url, replay, out=io.StringIO(), timeout=120)
+            raw_request = urllib.request.Request(
+                url + "/run", data=replay.to_json(indent=None).encode("utf-8"),
+                headers={"Content-Type": "application/json"}, method="POST")
+            for _ in range(repeats):
+                out = io.StringIO()
+                began = perf_counter()
+                envelope = submit_request(url, replay, out=out, timeout=120)
+                keep("relay_s", perf_counter() - began)
+                began = perf_counter()
+                with urllib.request.urlopen(raw_request, timeout=120) as reply:
+                    body = reply.read().decode("utf-8")
+                keep("raw_s", perf_counter() - began)
+                records = body[:body.rstrip("\n").rfind("\n") + 1]
+                if envelope.get("served_from") != "cache" or \
+                        out.getvalue() != records:
+                    raise RuntimeError(
+                        "cache hit probe: the relayed replay differs from "
+                        "the daemon's body"
+                    )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+    return {
+        "repeats": repeats,
+        "cells": _HIT_GRID_SIZE,
+        "history": history_enabled(),
+        **{name: round(seconds, 5) for name, seconds in best.items()},
+        "records": records.count("\n"),
+        "relay_ratio": round(best["relay_s"] / best["raw_s"], 2),
+    }
+
+
 def geometric_mean_speedup(rows: Sequence[Dict[str, Any]]) -> float:
     """Geometric mean of per-case speedups (ratio of ratios safe)."""
     product = 1.0
@@ -730,6 +854,11 @@ def run_perf(
                 _measure_observe_overhead(observe_suite, quick, repeats)
                 if observe_suite else None
             ),
+            # perf-smoke bounds relay_ratio; the grid and history
+            # figures are reported only (fsync speed is the host's).
+            "cache_hit": (
+                _measure_cache_hit(repeats) if observe_suite else None
+            ),
             "wall_s": round(
                 sum(r["fraction_s"] + r["lattice_s"] for r in measured)
                 + sum(r["object_s"] + r["batch_s"] for r in fleet),
@@ -820,6 +949,25 @@ def render_report(document: Dict[str, Any]) -> List[str]:
                         for case, cell in observe["cases"].items()
                     ] + [["overall", "-", "-", observe["metrics"],
                           observe["stream"]]],
+                }
+            )
+        )
+    hit = (document.get("meta") or {}).get("cache_hit") or {}
+    if hit:
+        lines.append("")
+        lines.extend(
+            _render_table(
+                {
+                    "headers": ["cache hit", "best_s", "vs"],
+                    "rows": [
+                        [f"grid of {hit['cells']} (history "
+                         f"{'on' if hit['history'] else 'off'})",
+                         hit["grid_s"], "-"],
+                        [f"{hit['cells']} bare reads", hit["reads_s"], "-"],
+                        [f"replay of {hit['records']} records",
+                         hit["relay_s"], f"{hit['relay_ratio']}x raw"],
+                        ["raw read of the replay", hit["raw_s"], "-"],
+                    ],
                 }
             )
         )

@@ -59,6 +59,7 @@ completes — the grid journal checkpoints through it.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import multiprocessing
 import multiprocessing.connection
@@ -266,22 +267,14 @@ def run_tasks(
     When a tracer is active (see :mod:`repro.obs.tracing`) the whole
     call is wrapped in a ``pool`` span and every attempt, dispatch and
     worker lifetime is recorded; with tracing off the only cost is one
-    module-global ``None`` check.
+    module-global ``None`` check and a null context.
     """
     tracer = current_tracer()
-    if tracer is None:
-        return _run_tasks(
-            tasks,
-            jobs,
-            progress=progress,
-            label=label,
-            task_timeout=task_timeout,
-            retries=retries,
-            backoff_base=backoff_base,
-            on_error=on_error,
-            on_result=on_result,
-        )
-    with tracer.span("pool", label=label) as span:
+    with (
+        tracer.span("pool", label=label)
+        if tracer is not None
+        else contextlib.nullcontext()
+    ) as span:
         run = _run_tasks(
             tasks,
             jobs,
@@ -293,17 +286,18 @@ def run_tasks(
             on_error=on_error,
             on_result=on_result,
         )
-        span.set(
-            tasks=len(run.values),
-            jobs=run.jobs,
-            mode=run.mode,
-            retries=run.health.retries,
-            timeouts=run.health.timeouts,
-            crashes=run.health.worker_crashes,
-            failures=run.health.failures,
-            degraded=run.health.degraded,
-        )
-        return run
+        if span is not None:
+            span.set(
+                tasks=len(run.values),
+                jobs=run.jobs,
+                mode=run.mode,
+                retries=run.health.retries,
+                timeouts=run.health.timeouts,
+                crashes=run.health.worker_crashes,
+                failures=run.health.failures,
+                degraded=run.health.degraded,
+            )
+    return run
 
 
 def _run_tasks(

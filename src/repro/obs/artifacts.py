@@ -67,20 +67,21 @@ def parse_time(text: Union[str, int]) -> Fraction:
 #: Per-process memo for :func:`git_sha` — the answer cannot change
 #: mid-run, and a 1000-cell grid creates a manifest per cell; without
 #: the memo that is a thousand ``git rev-parse`` subprocess forks.
-_GIT_SHA_CACHE: Dict[str, Optional[str]] = {}
+_GIT_SHA_CACHE: Dict[Optional[str], Optional[str]] = {}
 
 
 def git_sha(start: Optional[pathlib.Path] = None) -> Optional[str]:
     """Current git commit of the source tree, best-effort (None off-repo).
 
-    Memoized per process (keyed by the lookup directory); forked
-    workers inherit the parent's memo, so a grid pays at most one
-    subprocess spawn total.
+    Memoized per process, keyed by the lookup directory (``None`` for
+    the default, so a repeat call resolves no path); forked workers
+    inherit the parent's memo, so a grid pays at most one subprocess
+    spawn total.
     """
-    cwd = start if start is not None else pathlib.Path(__file__).resolve().parent
-    memo_key = str(cwd)
+    memo_key = None if start is None else str(start)
     if memo_key in _GIT_SHA_CACHE:
         return _GIT_SHA_CACHE[memo_key]
+    cwd = start if start is not None else pathlib.Path(__file__).resolve().parent
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

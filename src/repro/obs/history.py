@@ -31,6 +31,14 @@ SQLite keeps the index robust against concurrent writers (two grids
 sharing one cache directory) via its own locking; a 5-second busy
 timeout covers the burst when a parallel bench suite lands many rows
 at once — in the same spirit as dnf's history database.
+
+Rows are written through one connection per process and database path,
+opened (and its schema made) on first use and shared by every thread
+under one lock; each row still commits by itself.  The connection is
+opened again in a forked child, when the file was removed or replaced
+(``repro cache clear`` removes it with the cache), and after a write
+through it raised.  At most four are held; the least recently used is
+closed.  Readers open a connection per call.
 """
 
 from __future__ import annotations
@@ -39,10 +47,12 @@ import json
 import os
 import pathlib
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "HistoryEntry",
@@ -91,6 +101,83 @@ _COLUMNS = (
     "spec_hash", "cache_key", "git_sha", "health", "artifact_path",
     "trace_path", "extra",
 )
+
+_INSERT = (
+    f"INSERT INTO runs ({', '.join(_COLUMNS)}) "
+    f"VALUES ({', '.join('?' for _ in _COLUMNS)})"
+)
+
+#: Most writer connections a process holds at once.
+_MAX_WRITERS = 4
+
+
+@dataclass(slots=True)
+class _Writer:
+    """A held writer connection and what it was opened against."""
+
+    connection: sqlite3.Connection
+    pid: int
+    file_id: Tuple[int, int]
+
+
+#: Writer connections by database path, least recently used first.
+_WRITERS: "OrderedDict[str, _Writer]" = OrderedDict()
+_WRITERS_LOCK = threading.Lock()
+
+
+def _reset_lock_in_child() -> None:
+    # A fork taken while another thread held the lock would leave it
+    # held in the child for good.  The connections need no reset: their
+    # pid tells the child to open its own.
+    global _WRITERS_LOCK
+    _WRITERS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
+
+
+def _file_id(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _open_writer(path: pathlib.Path) -> _Writer:
+    """A connection to ``path`` with the schema made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    connection = sqlite3.connect(str(path), timeout=5.0, check_same_thread=False)
+    try:
+        connection.execute("PRAGMA busy_timeout = 5000")
+        connection.executescript(_CREATE)
+        connection.execute(f"PRAGMA user_version = {HISTORY_SCHEMA_VERSION}")
+        stat = os.stat(path)
+    except BaseException:
+        connection.close()
+        raise
+    return _Writer(connection, os.getpid(), (stat.st_dev, stat.st_ino))
+
+
+def _writer_for(path: pathlib.Path) -> _Writer:
+    """The held connection to ``path``, opened again when stale.
+
+    Called with :data:`_WRITERS_LOCK` held.
+    """
+    key = str(path)
+    writer = _WRITERS.pop(key, None)
+    if writer is not None and (
+        writer.pid != os.getpid() or writer.file_id != _file_id(key)
+    ):
+        writer.connection.close()
+        writer = None
+    if writer is None:
+        writer = _open_writer(path)
+        while len(_WRITERS) >= _MAX_WRITERS:
+            _WRITERS.popitem(last=False)[1].connection.close()
+    _WRITERS[key] = writer
+    return writer
 
 
 def default_db_path() -> str:
@@ -203,20 +290,13 @@ class RunHistory:
         self.path = pathlib.Path(path if path is not None else default_db_path())
 
     @contextmanager
-    def _connect(self, *, create: bool = True) -> Iterator[sqlite3.Connection]:
-        if create:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """A reader's connection, closed when the block ends."""
         connection = sqlite3.connect(str(self.path), timeout=5.0)
         try:
             connection.row_factory = sqlite3.Row
             connection.execute("PRAGMA busy_timeout = 5000")
-            if create:
-                connection.executescript(_CREATE)
-                connection.execute(
-                    f"PRAGMA user_version = {HISTORY_SCHEMA_VERSION}"
-                )
             yield connection
-            connection.commit()
         finally:
             connection.close()
 
@@ -264,13 +344,15 @@ class RunHistory:
             str(trace_path) if trace_path else None,
             json.dumps(extra, sort_keys=True, default=str) if extra else None,
         )
-        placeholders = ", ".join("?" for _ in _COLUMNS)
-        with self._connect() as connection:
-            cursor = connection.execute(
-                f"INSERT INTO runs ({', '.join(_COLUMNS)}) "
-                f"VALUES ({placeholders})",
-                values,
-            )
+        with _WRITERS_LOCK:
+            writer = _writer_for(self.path)
+            try:
+                cursor = writer.connection.execute(_INSERT, values)
+                writer.connection.commit()
+            except BaseException:
+                del _WRITERS[str(self.path)]
+                writer.connection.close()
+                raise
             return int(cursor.lastrowid)
 
     # -- reading --------------------------------------------------------
@@ -279,7 +361,7 @@ class RunHistory:
         """One entry by id, or None."""
         if not self.path.exists():
             return None
-        with self._connect(create=False) as connection:
+        with self._connect() as connection:
             row = connection.execute(
                 "SELECT * FROM runs WHERE id = ?", (run_id,)
             ).fetchone()
@@ -339,7 +421,7 @@ class RunHistory:
         # Post-filters can reject arbitrarily many SQL rows, so the SQL
         # LIMIT must not apply until after they run (-1 = unlimited).
         sql_limit = -1 if post_filtered else limit
-        with self._connect(create=False) as connection:
+        with self._connect() as connection:
             rows = connection.execute(
                 f"SELECT * FROM runs{where} ORDER BY id DESC LIMIT ?",
                 (*params, sql_limit),
@@ -376,7 +458,7 @@ class RunHistory:
         """Total recorded rows (0 for a missing database)."""
         if not self.path.exists():
             return 0
-        with self._connect(create=False) as connection:
+        with self._connect() as connection:
             row = connection.execute("SELECT COUNT(*) AS n FROM runs").fetchone()
         return int(row["n"])
 

@@ -4,12 +4,15 @@ Stdlib only (:mod:`urllib`): POST a :class:`~repro.service.RunRequest`
 to ``/run``, stream the NDJSON response as it arrives — artifact/event
 records to an optional output stream, the trailing
 ``{"type": "service", ...}`` envelope back to the caller.
-``urllib`` transparently decodes the chunked transfer encoding, so
-records are seen line-by-line while the simulation is still running
-(the daemon sends them in blocks, the manifest first on its own).  Only
-lines that can be the envelope or an in-band error — those containing
-``service`` or ``error`` — are parsed; every other line goes to the
-output stream verbatim.
+``urllib`` transparently decodes the chunked transfer encoding; the
+client reads the body as it arrives, up to 64 KB at a time, while the
+simulation is still running (the daemon sends records in blocks, the
+manifest first on its own).  Each run of whole lines goes to the output
+stream verbatim with one write, and a trailing partial line waits for
+the next read.  Only a run holding a line that can be the envelope or
+an in-band error — one containing ``service`` or ``error`` — or a line
+that does not start with ``{`` (a blank one, say) is split into lines
+and read one by one.
 
 The daemon ends every stream with its envelope or an in-band error, so
 a stream that ends without either was cut (say, the daemon died): that
@@ -22,7 +25,7 @@ import http.client
 import json
 import urllib.error
 import urllib.request
-from typing import IO, Any, Dict, Optional
+from typing import IO, Any, Dict, Optional, Tuple
 
 __all__ = ["ServiceError", "submit_request"]
 
@@ -40,6 +43,50 @@ def _http_error_detail(exc: urllib.error.HTTPError) -> str:
     except Exception:
         pass
     return f"HTTP {exc.code} {exc.reason}"
+
+
+#: The most one read of a streamed reply asks for.
+_READ_SIZE = 65536
+
+
+def _relay(
+    text: str, out: Optional[IO[str]], envelope: Optional[Dict[str, Any]]
+) -> Tuple[int, Optional[Dict[str, Any]]]:
+    """Pass a run of whole lines on to ``out``; ``(records, envelope)``.
+
+    A run whose every line starts with ``{`` and that holds neither
+    ``service`` nor ``error`` is all records, and goes on with one
+    write.  Any other run is split on ``"\n"`` and read line by line:
+    blank lines are dropped, the envelope is kept back and an in-band
+    error raises once the records before it are written.
+    """
+    lines = text.count("\n")
+    if (text[0] == "{" and text.count("\n{") == lines - 1
+            and "service" not in text and "error" not in text):
+        if out is not None:
+            out.write(text)
+        return lines, envelope
+    kept = []
+    for line in text.split("\n")[:-1]:
+        if not line.strip():
+            continue
+        if "service" in line or "error" in line:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            kind = record.get("type") if isinstance(record, dict) else None
+            if kind == "service":
+                envelope = record
+                continue
+            if kind == "error":
+                if out is not None and kept:
+                    out.write("".join(kept))
+                raise ServiceError(str(record.get("error", "daemon error")))
+        kept.append(line + "\n")
+    if out is not None and kept:
+        out.write("".join(kept))
+    return len(kept), envelope
 
 
 def submit_request(
@@ -78,34 +125,33 @@ def submit_request(
     records = 0
     with response:
         served_from = response.headers.get("X-Repro-Served-From", "")
-        lines = iter(response)
+        tail = b""
         while True:
             try:
-                raw = next(lines, b"")
+                block = response.read1(_READ_SIZE)
             except (http.client.HTTPException, OSError) as exc:
-                raise ServiceError(
-                    f"the stream from {url} broke after {records} record(s): "
-                    f"{exc!r}"
-                ) from None
-            if not raw:
+                # http.client closes the response when the next chunk's
+                # size line is missing, as when the daemon stopped between
+                # two chunks; that is where the stream ended.
+                if not (isinstance(exc, http.client.IncompleteRead)
+                        and response.isclosed()):
+                    raise ServiceError(
+                        f"the stream from {url} broke after {records} "
+                        f"record(s): {exc!r}"
+                    ) from None
+                block = b""
+            if block:
+                block = tail + block
+                end = block.rfind(b"\n") + 1
+                block, tail = block[:end], block[end:]
+            elif tail:
+                # The last line has no newline; it is still a line.
+                block, tail = tail + b"\n", b""
+            else:
                 break
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            if "service" in line or "error" in line:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    record = None
-                kind = record.get("type") if isinstance(record, dict) else None
-                if kind == "service":
-                    envelope = record
-                    continue
-                if kind == "error":
-                    raise ServiceError(str(record.get("error", "daemon error")))
-            if out is not None:
-                out.write(line if line.endswith("\n") else line + "\n")
-            records += 1
+            if block:
+                relayed, envelope = _relay(block.decode("utf-8"), out, envelope)
+                records += relayed
     if envelope is None:
         raise ServiceError(
             f"the stream from {url} ended without its envelope after "

@@ -425,6 +425,24 @@ class TestPerfSuite:
         document["meta"]["observe_overhead"] = probe
         assert any(line.startswith("overall") for line in render_report(document))
 
+    def test_cache_hit_reports_the_hit_and_the_relay(self):
+        from repro.exec.perf import _measure_cache_hit, render_report, run_perf
+
+        probe = _measure_cache_hit(repeats=1)
+        assert (probe["repeats"], probe["cells"]) == (5, 12)
+        assert probe["history"] is True
+        assert min(probe["grid_s"], probe["reads_s"], probe["relay_s"],
+                   probe["raw_s"]) > 0
+        assert probe["records"] > 1000
+        assert probe["relay_ratio"] == pytest.approx(
+            probe["relay_s"] / probe["raw_s"], abs=0.02)
+        # Like observe_overhead, a custom case list leaves it out.
+        document = run_perf(cases=[self._tiny_case()], quick=True, repeats=1)
+        assert document["meta"]["cache_hit"] is None
+        document["meta"]["cache_hit"] = probe
+        lines = render_report(document)
+        assert any(line.startswith("replay of") for line in lines)
+
     def test_observe_cases_are_the_bundled_scenarios_at_a_quarter(self):
         import pathlib
 

@@ -295,3 +295,122 @@ class TestQueryProvenanceFilters:
         entries = history.query(kind="grid", served="cache")
         assert [e.name for e in entries] == ["mixed-grid"]
         assert history.query(kind="run", served="cache") == []
+
+
+class TestHeldWriter:
+    """``RunHistory.record`` writes through one connection per process
+    and database path, opened again whenever it could be stale."""
+
+    def test_rows_land_before_and_after_the_cache_is_cleared(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        db = tmp_path / "cache" / "history.db"
+        first = RunHistory(db).record("grid", "before")
+        cache.clear()  # removes history.db with the cache root
+        assert not db.exists()
+        second = RunHistory(db).record("grid", "after")
+        assert [e.name for e in RunHistory(db).list()] == ["after"]
+        assert (first, second) == (1, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_writes_its_own_row(self, tmp_path):
+        import sqlite3
+
+        db = tmp_path / "h.db"
+        RunHistory(db).record("run", "parent-before")
+        pid = os.fork()
+        if pid == 0:  # the child: exit without running pytest's teardown
+            code = 1
+            try:
+                # SQLite forbids using the parent's connection here: the
+                # child must open its own.
+                opened = []
+                connect = sqlite3.connect
+                sqlite3.connect = lambda *a, **k: opened.append(a) or \
+                    connect(*a, **k)
+                RunHistory(db).record("run", "child")
+                code = 0 if len(opened) == 1 else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        RunHistory(db).record("run", "parent-after")
+        assert [e.name for e in RunHistory(db).list()] == \
+            ["parent-after", "child", "parent-before"]
+
+    def test_threads_share_the_connection(self, tmp_path):
+        import sys
+        import threading
+
+        history = RunHistory(tmp_path / "h.db")
+        ids = []
+
+        def write(thread):
+            for row in range(25):
+                ids.append(history.record("run", f"t{thread}-{row}"))
+
+        threads = [threading.Thread(target=write, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(set(ids)) == len(ids) == 200
+        assert history.count() == 200
+
+    def test_at_most_four_connections_are_held(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro.obs import history as history_module
+
+        opened = []
+        connect = sqlite3.connect
+
+        def recording(*args, **kwargs):
+            connection = connect(*args, **kwargs)
+            opened.append(connection)
+            return connection
+
+        def is_open(connection):
+            try:
+                connection.total_changes
+            except sqlite3.ProgrammingError:
+                return False
+            return True
+
+        monkeypatch.setattr(history_module.sqlite3, "connect", recording)
+        for index in range(50):
+            RunHistory(tmp_path / f"h{index}.db").record("run", str(index))
+        assert len(opened) == 50
+        assert sum(map(is_open, opened)) <= 4
+        assert all(RunHistory(tmp_path / f"h{index}.db").count() == 1
+                   for index in range(50))
+
+    def test_warm_requests_reuse_one_connection(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro.obs import history as history_module
+
+        cache_dir = str(tmp_path / "cache")
+        execute(grid_request("a", "b", cache=True, cache_dir=cache_dir))
+        calls = []
+        connect = sqlite3.connect
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(history_module.sqlite3, "connect", counting)
+        for _ in range(20):
+            result = execute(
+                grid_request("a", "b", cache=True, cache_dir=cache_dir)
+            )
+            assert result.served_from == "cache" and result.history_id
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        history = RunHistory(tmp_path / "cache" / "history.db")
+        assert history.count() == 21

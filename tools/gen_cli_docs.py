@@ -58,6 +58,25 @@ def subcommands(
     return found
 
 
+def command_table(
+    parser: argparse.ArgumentParser, prefix: str, heading: str
+) -> Iterator[str]:
+    """A linked table of ``parser``'s subcommands and their ``help=``."""
+    blurbs = {
+        choice.dest: choice.help or ""
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for choice in action._choices_actions
+    }
+    yield f"| {heading} | what it does |"
+    yield "|---|---|"
+    for name, _ in subcommands(parser):
+        command = f"{prefix} {name}".strip()
+        anchor = "#repro-" + command.replace(" ", "-")
+        yield f"| [`repro {command}`]({anchor}) | {blurbs.get(name, '')} |"
+    yield ""
+
+
 def flag_rows(parser: argparse.ArgumentParser) -> List[Tuple[str, str]]:
     """(rendered invocation, help) for each argument of one parser."""
     rows: List[Tuple[str, str]] = []
@@ -113,39 +132,15 @@ def walk(
         yield ""
     children = subcommands(parser)
     if children and name:
-        yield (
-            "Subcommands: "
-            + " · ".join(
-                f"[`{child}`](#repro-{(name + ' ' + child).replace(' ', '-')})"
-                for child, _ in children
-            )
-        )
-        yield ""
+        yield from command_table(parser, name, "subcommand")
     for child, sub in children:
         yield from walk(f"{name} {child}".strip(), sub, depth + 1)
-
-
-def top_index(parser: argparse.ArgumentParser) -> Iterator[str]:
-    yield "| command | what it does |"
-    yield "|---|---|"
-    for name, sub in subcommands(parser):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                help_by_name = {
-                    choice.dest: choice.help
-                    for choice in action._choices_actions
-                }
-                blurb = help_by_name.get(name, "") or ""
-                break
-        anchor = f"#repro-{name}"
-        yield f"| [`repro {name}`]({anchor}) | {blurb} |"
-    yield ""
 
 
 def render() -> str:
     parser = build_parser()
     lines: List[str] = [HEADER]
-    lines.extend(top_index(parser))
+    lines.extend(command_table(parser, "", "command"))
     for name, sub in subcommands(parser):
         lines.extend(walk(name, sub, 1))
     text = "\n".join(lines)
