@@ -46,7 +46,7 @@ from ..exec.pool import run_tasks
 from ..exec.resilience import GridJournal, RunHealth, TaskError
 from ..obs.profiling import PhaseProfiler, ProgressReporter
 from ..obs.tracing import Span, Tracer, current_tracer
-from .metrics import RunMetrics, collect_metrics
+from .metrics import RunMetrics, collect_metrics, setstate_by_field
 from .stability import assess_stability
 
 if TYPE_CHECKING:
@@ -55,6 +55,7 @@ if TYPE_CHECKING:
     from ..scenarios import ScenarioSpec
 
 
+@setstate_by_field
 @dataclass(frozen=True, slots=True)
 class CellResult:
     """Measurements of one cell run.

@@ -7,14 +7,41 @@ table reports next to the paper's predicted bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Type, TypeVar
 
 from ..core.simulator import Simulator
 from ..core.timebase import Time
 
+_Frozen = TypeVar("_Frozen")
 
+
+def setstate_by_field(cls: Type[_Frozen]) -> Type[_Frozen]:
+    """Give the frozen, slotted dataclass *cls* a ``__setstate__`` that
+    restores the generated ``__getstate__``'s list with one
+    ``object.__setattr__`` per field, in field order.
+
+    dataclasses' own version looks the fields up again for every object
+    it loads, which each cache read pays per result.  Pickling is left
+    to the generated ``__getstate__``, so stored bytes do not change.
+    Apply it above ``@dataclass``: ``slots=True`` overwrites a
+    ``__setstate__`` written in the class body on Python 3.10 and early
+    3.11.
+    """
+    names = tuple(f.name for f in fields(cls))
+    setter = object.__setattr__
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(names, state):
+            setter(self, name, value)
+
+    __setstate__.__qualname__ = f"{cls.__qualname__}.__setstate__"
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+@setstate_by_field
 @dataclass(frozen=True, slots=True)
 class RunMetrics:
     """Summary of one simulation run.
@@ -71,5 +98,5 @@ def collect_metrics(sim: Simulator) -> RunMetrics:
         throughput_packets=Fraction(len(delivered)) / horizon,
         mean_latency=(sum(latencies, Fraction(0)) / len(latencies)) if latencies else None,
         max_latency=max(latencies) if latencies else None,
-        per_station_queue={sid: sim.queue_size(sid) for sid in sim.station_ids},
+        per_station_queue=sim.queue_sizes(),
     )

@@ -12,12 +12,20 @@ Design contract (the parity-oracle contract, see docs/vectorization.md):
   :class:`~repro.core.channel.Channel`, the real
   :class:`~repro.core.packet.PacketQueue` per station, the real
   :class:`~repro.core.trace.Trace` — through the same calls, in the
-  same order, as the object path.  Whole-fleet per-slot state (queue
-  depths, automaton phase, slot boundaries) is mirrored into NumPy
-  arrays on entry (:meth:`BatchKernel._load`) and written back on exit
-  (:meth:`BatchKernel._store`), so object- and batch-engine ``run()``
-  calls can be freely interleaved on one simulator.  Each vector
-  program declares the fields it mirrors
+  same order, as the object path.  On a batch run the kernel opens
+  slot 0 itself (:meth:`BatchKernel.start`), calling each automaton's
+  own ``first_action``, and from then on its arrays hold the
+  scheduling state (slot index and boundaries, slots elapsed, action
+  codes, queue depths, the tick frontier).  The ``StationRuntime``s
+  and the event heap are written from them
+  (:meth:`BatchKernel.write_runtimes`) only just before the object loop
+  steps and when ``Simulator.stations`` is read — after which every
+  kernel exit writes back — so object- and batch-engine ``run()``
+  calls can be freely interleaved on one simulator.  Readers of a
+  finished run (queue sizes, slots elapsed, the execution signature)
+  answer from the queues and arrays without writing back.  Automaton
+  state is mirrored on every entry and stored on every exit that
+  stepped: each vector program declares the fields it mirrors
   (:attr:`AlgorithmProgram.mirrored`), and one gather and one scatter
   copy them all.
 * Results are **bit-identical** to the object engine.  The enabling
@@ -56,9 +64,10 @@ named.
 One knowingly-accepted divergence: schedule programs validate their
 declared slot-length tables at kernel entry, so a malformed length deep
 in a :class:`~repro.timing.adversary.TableDriven` table raises at run
-start rather than at the offending slot.  The exception type and
-message are the canonical ones; only the amount of work done before
-raising differs, and error paths are outside the parity contract.
+start rather than at the offending slot, and the bulk start checks every
+first action before any slot length.  The exception type and message
+are the canonical ones; only the amount of work done before raising
+differs, and error paths are outside the parity contract.
 """
 
 from __future__ import annotations
@@ -101,13 +110,18 @@ from .station import (
     TRANSMIT_PACKET,
     AlwaysListen,
     AlwaysTransmit,
+    SlotContext,
 )
-from .timebase import Interval
-from .simulator import _PRUNE_EVERY
+from .timebase import Interval, OffLatticeError
+from .simulator import _PRUNE_EVERY, off_lattice_length
 
 #: Action codes used inside the kernel (``int8``).
 _A_LISTEN, _A_TX_PKT, _A_TX_CTRL = 0, 1, 2
 _ACTIONS = (LISTEN, TRANSMIT_PACKET, TRANSMIT_CONTROL)
+
+#: The code of each shared action singleton, by identity; an equal
+#: action built elsewhere is coded by :func:`_action_code`.
+_CODE_OF = {id(action): code for code, action in enumerate(_ACTIONS)}
 
 #: Feedback codes used inside the kernel (``int8``).
 _F_SILENCE, _F_BUSY, _F_ACK = 0, 1, 2
@@ -173,7 +187,7 @@ def batch_blocker(sim) -> Optional[str]:
             f"slot adversary {adversary_cls.__name__} has no vectorized "
             "schedule program"
         )
-    algorithm_classes = {type(rt.algorithm) for rt in sim.stations.values()}
+    algorithm_classes = {type(rt.algorithm) for rt in sim._stations.values()}
     if len(algorithm_classes) > 1:
         names = ", ".join(sorted(cls.__name__ for cls in algorithm_classes))
         return f"mixed station algorithm classes ({names}) are object-path only"
@@ -184,7 +198,7 @@ def batch_blocker(sim) -> Optional[str]:
             f"station algorithm {algorithm_cls.__name__} has no vectorized "
             "program"
         )
-    fleet = [sim.stations[sid].algorithm for sid in sim.station_ids]
+    fleet = [rt.algorithm for rt in sim._stations.values()]
     reason = program_cls.check(fleet)
     if reason is not None:
         return reason
@@ -212,8 +226,7 @@ def expected_tick_width(sim) -> Fraction:
 
 def _promoted_program_cls(sim) -> type:
     """The algorithm program class a batch-eligible ``sim`` resolved to."""
-    algorithm = sim.stations[next(iter(sim.station_ids))].algorithm
-    return BATCH_ALGORITHMS[type(algorithm)]
+    return BATCH_ALGORITHMS[type(sim.algorithm(sim.station_ids[0]))]
 
 
 def promotion_detail(sim) -> str:
@@ -223,7 +236,7 @@ def promotion_detail(sim) -> str:
     demotion counterpart is :func:`batch_blocker`'s reason) and printed
     by ``repro run --verbose-engine``.
     """
-    algorithm = sim.stations[next(iter(sim.station_ids))].algorithm
+    algorithm = sim.algorithm(sim.station_ids[0])
     program_cls = BATCH_ALGORITHMS[type(algorithm)]
     schedule_cls = BATCH_SCHEDULES[type(sim.slot_adversary)]
     flavor = (
@@ -262,6 +275,22 @@ def _gather(objects: Sequence[object], attribute: str, kind) -> "np.ndarray":
                      values)
         kind = "int8"
     return np.fromiter(values, dtype=kind, count=len(objects))
+
+
+def _action_code(action) -> int:
+    if not action.is_transmit:
+        return _A_LISTEN
+    return _A_TX_PKT if action.carries_packet else _A_TX_CTRL
+
+
+def _action_codes(actions: Sequence[object]) -> "np.ndarray":
+    """The ``int8`` code of every action, in order."""
+    codes = np.fromiter(
+        map(_CODE_OF.get, map(id, actions), repeat(-1)), np.int8, len(actions)
+    )
+    for j in np.flatnonzero(codes < 0).tolist():
+        codes[j] = _action_code(actions[j])
+    return codes
 
 
 def _scatter(objects: Sequence[object], attribute: str, kind, array) -> None:
@@ -371,7 +400,12 @@ class ScheduleProgram:
 
     def _ticks(self, public_length) -> int:
         """Convert one declared public length to validated ticks."""
-        return int(self.tb.check_slot_length(public_length, self.max_dur))
+        try:
+            return int(self.tb.check_slot_length(public_length, self.max_dur))
+        except OffLatticeError as err:
+            raise off_lattice_length(
+                self.adversary, public_length, self.tb
+            ) from err
 
     def load(self) -> None:
         raise NotImplementedError
@@ -610,13 +644,16 @@ class NestedAbsCoreProgram(AbsCoreProgram):
             array = np.zeros(len(algos), dtype=values.dtype)
             array[live] = values
             setattr(self, name, array)
+        # A fleet shares its ``R`` object, so the thresholds are
+        # computed once per distinct one rather than looked up per
+        # station in the bounds' memo (which hashes a Fraction).
         uppers = [algo.max_slot_length for algo in algos]
-        self.t0 = np.fromiter(
-            map(abs_listen_threshold_bit0, uppers), np.int64, len(uppers)
-        )
-        self.t1 = np.fromiter(
-            map(abs_listen_threshold_bit1, uppers), np.int64, len(uppers)
-        )
+        keys = list(map(id, uppers))
+        distinct = dict(zip(keys, uppers))
+        t0 = {key: abs_listen_threshold_bit0(r) for key, r in distinct.items()}
+        t1 = {key: abs_listen_threshold_bit1(r) for key, r in distinct.items()}
+        self.t0 = np.fromiter(map(t0.__getitem__, keys), np.int64, len(keys))
+        self.t1 = np.fromiter(map(t1.__getitem__, keys), np.int64, len(keys))
 
     def store(self) -> None:
         super().store()
@@ -828,14 +865,20 @@ class _PatternSchedule(ScheduleProgram):
         raise NotImplementedError
 
     def load(self) -> None:
-        sids = self.sids_list
-        patterns = [self._pattern_for(sid) for sid in sids]
-        self.plen = np.array([len(p) for p in patterns], dtype=np.int64)
-        width = int(self.plen.max())
-        table = np.zeros((len(sids), width), dtype=np.int64)
-        for i, pattern in enumerate(patterns):
-            table[i, : len(pattern)] = [self._ticks(x) for x in pattern]
-        self.table = table
+        # Stations share pattern objects (``WorstCaseCyclic`` has two):
+        # each distinct one is converted once, in station order, and
+        # every station's row is gathered from those.
+        patterns = list(map(self._pattern_for, self.sids_list))
+        keys = list(map(id, patterns))
+        distinct = dict(zip(keys, patterns))
+        row_of = {key: row for row, key in enumerate(distinct)}
+        rows = np.fromiter(map(row_of.__getitem__, keys), np.int64, len(keys))
+        plen = np.array([len(p) for p in distinct.values()], dtype=np.int64)
+        table = np.zeros((len(distinct), int(plen.max())), dtype=np.int64)
+        for row, pattern in enumerate(distinct.values()):
+            table[row, : len(pattern)] = [self._ticks(x) for x in pattern]
+        self.plen = plen[rows]
+        self.table = table[rows]
 
     def lengths(self, m, new_index):
         return self.table[m, new_index % self.plen[m]]
@@ -939,9 +982,13 @@ _RUNTIME_FIELDS = ("slot_index", "slot_start", "slot_end", "slots_elapsed")
 class BatchKernel:
     """One simulator's array state + the per-tick batched event loop.
 
-    Constructed once per simulator (``Simulator._batch_kernel``); every
-    ``run`` call re-snapshots canonical state, so object-engine steps
-    may happen between kernel runs.
+    Constructed once per simulator (``Simulator._batch_kernel``).  From
+    the kernel's first start or entry on, its arrays hold the run's
+    scheduling state; the runtimes and the event heap are written from
+    them only when read (``Simulator.stations``) or when the object loop
+    takes over, which clears :attr:`current` so that the next entry
+    gathers again.  So object-engine steps may happen between kernel
+    runs.
     """
 
     def __init__(self, sim) -> None:
@@ -955,7 +1002,7 @@ class BatchKernel:
         self.max_dur = sim._max_slot_internal
         self.sids_list: List[int] = list(sim.station_ids)
         self.sids = np.array(self.sids_list, dtype=np.int64)
-        self.runtimes = [sim.stations[sid] for sid in self.sids_list]
+        self.runtimes = list(sim._stations.values())
         self.algos = [rt.algorithm for rt in self.runtimes]
         self.queues = [rt.queue for rt in self.runtimes]
         algorithm_cls = type(self.algos[0])
@@ -963,30 +1010,105 @@ class BatchKernel:
         self.schedule: ScheduleProgram = BATCH_SCHEDULES[
             type(sim.slot_adversary)
         ](self, sim.slot_adversary)
+        #: Whether the scheduling arrays (slot fields, action codes,
+        #: queue lengths, pending set, frontier) are the simulator's
+        #: current state; the object loop clears it before stepping.
+        self.current = False
+        #: Whether the runtimes and the event heap lag the arrays (until
+        #: :meth:`write_runtimes`).
+        self.runtimes_stale = False
+        #: Whether :meth:`start` just loaded the programs, so the run
+        #: that follows it need not load them again.
+        self._fresh = False
+
+    # -- the start ----------------------------------------------------
+
+    def start(self) -> None:
+        """Open every station's first slot at time 0, in bulk.
+
+        The batch form of ``Simulator._start``: the arrivals at 0 are
+        pumped and delivered as there, and each automaton's own
+        ``first_action`` is called once, in ascending id order (one
+        shared context per queue length).  The programs then gather
+        their arrays; slot 0's lengths come from the schedule program
+        (its draws in ascending id order), and only the transmitting
+        members open a channel record, in id order.  No runtime is
+        written: the arrays hold the state from here on.
+        """
+        sim = self.sim
+        zero = self.tb.zero
+        sim._pump_arrivals(zero)
+        pending = sim._pending_arrivals
+        waiting = [sid for sid, packets in pending.items() if packets]
+        for sid in waiting:
+            sim._deliver_pending(sim._stations[sid], zero)
+        sizes = list(map(len, self.queues))
+        contexts = {size: SlotContext(None, size, 0) for size in set(sizes)}
+        actions = [
+            algo.first_action(contexts[size])
+            for algo, size in zip(self.algos, sizes)
+        ]
+        codes = _action_codes(actions)
+        transmitting = np.flatnonzero(codes != _A_LISTEN).tolist()
+        # The object loop's checks, in id order: its error for the
+        # first illegal first action.
+        for i in transmitting:
+            sim._validate_action(self.runtimes[i], actions[i])
+        n = len(self.sids_list)
+        self.action_code = codes
+        self.qlen = np.array(sizes, dtype=np.int64)
+        self._pending_nonempty = {sid for sid in waiting if pending[sid]}
+        self.slot_index = np.zeros(n, dtype=np.int64)
+        self.slot_start = np.zeros(n, dtype=np.int64)
+        self.slots_elapsed = np.zeros(n, dtype=np.int64)
+        self.program.load()
+        self.schedule.load()
+        self.slot_end = zero + self.schedule.lengths(
+            np.arange(n), self.slot_index
+        )
+        channel = sim.channel
+        for i, end in zip(transmitting, self.slot_end[transmitting].tolist()):
+            aboard = self.queues[i].head() if codes[i] == _A_TX_PKT else None
+            channel.begin_transmission(
+                self.sids_list[i], Interval(zero, end), aboard
+            )
+        self._build_frontier()
+        self.current = True
+        self._fresh = True
+        self.runtimes_stale = True
 
     # -- canonical <-> array sync ------------------------------------
 
     def _load(self) -> None:
-        sim = self.sim
+        if self._fresh:
+            self._fresh = False
+            return
+        if not self.current:
+            self._gather_runtimes()
+        self.program.load()
+        self.schedule.load()
+
+    def _gather_runtimes(self) -> None:
+        """Take the scheduling state over from the runtimes, the queues
+        and the pending arrivals (after object-loop steps)."""
         runtimes = self.runtimes
         for name in _RUNTIME_FIELDS:
             setattr(self, name, _gather(runtimes, name, "int64"))
-        self.action_code = np.array(
-            [
-                _A_LISTEN
-                if not rt.action.is_transmit
-                else (_A_TX_PKT if rt.action.carries_packet else _A_TX_CTRL)
-                for rt in runtimes
-            ],
-            dtype=np.int8,
+        self.action_code = _action_codes([rt.action for rt in runtimes])
+        self.qlen = np.fromiter(
+            map(len, self.queues), np.int64, len(self.queues)
         )
-        self.qlen = np.array([len(q) for q in self.queues], dtype=np.int64)
         self._pending_nonempty = {
-            sid for sid, pending in sim._pending_arrivals.items() if pending
+            sid for sid, pending in self.sim._pending_arrivals.items()
+            if pending
         }
+        self._build_frontier()
+        self.current = True
+
+    def _build_frontier(self) -> None:
         # Frontier: one entry per distinct end tick, holding ascending
         # fleet-index arrays.  Replaces the per-station (end, sid) heap
-        # while the kernel runs; _store rebuilds the canonical heap.
+        # while the kernel holds the state; write_runtimes rebuilds it.
         order = np.argsort(self.slot_end, kind="stable")
         sorted_ends = self.slot_end[order]
         ticks, first = np.unique(sorted_ends, return_index=True)
@@ -994,10 +1116,21 @@ class BatchKernel:
         self._tick_heap: List[int] = []
         for tick, piece in zip(ticks, np.split(order, first[1:])):
             self._push(int(tick), piece)
-        self.program.load()
-        self.schedule.load()
 
-    def _store(self) -> None:
+    def _store(self, stepped: bool) -> None:
+        sim = self.sim
+        if sim._stations_shared:
+            self.write_runtimes(sim)
+        else:
+            self.runtimes_stale = True
+        if stepped:
+            # Unstepped, the programs' arrays still equal the objects
+            # they were gathered from on this entry.
+            self.program.store()
+
+    def write_runtimes(self, sim) -> None:
+        """Write the scheduling state into ``sim``'s runtimes and event
+        heap, as the object loop would hold them."""
         runtimes = self.runtimes
         for name in _RUNTIME_FIELDS:
             _scatter(runtimes, name, "int64", getattr(self, name))
@@ -1012,8 +1145,8 @@ class BatchKernel:
             rt.aboard_packet = queue.head() if code == _A_TX_PKT else None
         heap = list(zip(ends, self.sids_list))
         heapq.heapify(heap)
-        self.sim._event_heap = heap
-        self.program.store()
+        sim._heap = heap
+        self.runtimes_stale = False
 
     def _push(self, tick: int, members) -> None:
         group = self._groups.get(tick)
@@ -1035,6 +1168,7 @@ class BatchKernel:
         sim = self.sim
         with collector_paused():
             self._load()
+        stepped = False
         try:
             while True:
                 if (
@@ -1071,12 +1205,13 @@ class BatchKernel:
                     if len(members) > room:
                         self._push(tick, members[room:])
                         members = members[:room]
+                stepped = True
                 self._process_tick(tick, members)
                 if stop_after:
                     return
         finally:
             with collector_paused():
-                self._store()
+                self._store(stepped)
 
     def _process_tick(self, tick: int, m) -> None:
         sim = self.sim

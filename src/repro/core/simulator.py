@@ -156,6 +156,14 @@ class Simulator:
             engines.
     """
 
+    #: Whether ``stations`` was handed out: from then on every batch
+    #: kernel exit writes the runtimes back, so a runtime a caller holds
+    #: is never stale.  A class default that the first read overrides:
+    #: an instance keeps its attributes in a shared-key dict only up to
+    #: 29 of them, and the object loop's attribute reads are fastest
+    #: there.
+    _stations_shared = False
+
     def __init__(
         self,
         algorithms: Union[Sequence[StationAlgorithm], Mapping[int, StationAlgorithm]],
@@ -199,7 +207,10 @@ class Simulator:
         self._max_slot_internal = self._timebase.to_internal(self.max_slot_length)
         self.channel = Channel(probes=probes, timebase=self._timebase)
 
-        self.stations: Dict[int, StationRuntime] = {
+        # Read through the ``stations`` property from outside: on a batch
+        # run the kernel's arrays hold the scheduling state, and the
+        # property writes it back first.
+        self._stations: Dict[int, StationRuntime] = {
             sid: StationRuntime(
                 station_id=sid, algorithm=algo, queue=PacketQueue(station_id=sid)
             )
@@ -216,7 +227,7 @@ class Simulator:
         self._now_internal = self._timebase.zero
         self._now_exact: Optional[Time] = None
         self.events_processed = 0
-        self._event_heap: List[Tuple[object, int]] = []
+        self._heap: List[Tuple[object, int]] = []
         self._pending_arrivals: Dict[int, List[Tuple[object, Packet]]] = {
             sid: [] for sid in ids
         }
@@ -380,11 +391,47 @@ class Simulator:
 
     @property
     def n_stations(self) -> int:
-        return len(self.stations)
+        return len(self._station_ids)
+
+    @property
+    def stations(self) -> Dict[int, StationRuntime]:
+        """Per-station runtimes, by id.
+
+        After a batch run the kernel's arrays hold the scheduling state
+        (slot index, boundaries, action, slots elapsed, the pending
+        events); reading this writes it back into the runtimes, and
+        from then on every kernel exit writes back too.
+        """
+        self._stations_shared = True
+        self._write_back()
+        return self._stations
+
+    @property
+    def _event_heap(self) -> List[Tuple[object, int]]:
+        """The pending ``(end, station id)`` events as the object loop
+        keeps them, written back from the kernel first if it holds them."""
+        self._write_back()
+        return self._heap
+
+    def _write_back(self) -> None:
+        """Copy the kernel's scheduling state into the runtimes and the
+        heap, if they lag it."""
+        kernel = self._batch_kernel
+        if kernel is not None and kernel.runtimes_stale:
+            with collector_paused():
+                kernel.write_runtimes(self)
 
     def queue_size(self, station_id: int) -> int:
         """Current queue length of one station (pending arrivals excluded)."""
-        return len(self.stations[station_id].queue)
+        return len(self._stations[station_id].queue)
+
+    def queue_sizes(self) -> Dict[int, int]:
+        """Every station's queue length, by ascending id (pending
+        arrivals excluded)."""
+        kernel = self._batch_kernel
+        if kernel is not None and kernel.current:
+            return dict(zip(kernel.sids_list, kernel.qlen.tolist()))
+        return {sid: len(rt.queue) for sid, rt in self._stations.items()}
 
     @property
     def total_backlog(self) -> int:
@@ -403,7 +450,7 @@ class Simulator:
         return self._delivered_packets
 
     def algorithm(self, station_id: int) -> StationAlgorithm:
-        return self.stations[station_id].algorithm
+        return self._stations[station_id].algorithm
 
     # ------------------------------------------------------------------
     # Packet injection
@@ -463,7 +510,7 @@ class Simulator:
                 raise SimulationError(
                     f"arrival source produced a future arrival {exact} > {upto_public}"
                 )
-            if station_id not in self.stations:
+            if station_id not in self._stations:
                 raise SimulationError(f"arrival for unknown station {station_id}")
             try:
                 internal = timebase.to_internal(exact)
@@ -548,12 +595,8 @@ class Simulator:
                 raw_length, self._max_slot_internal
             )
         except OffLatticeError as err:
-            raise SimulationError(
-                f"slot adversary {type(self.slot_adversary).__name__} produced "
-                f"slot length {as_time(raw_length)} off the run's declared "
-                f"1/{self._timebase.denominator} time lattice; fix its "
-                "lattice_denominator() declaration or construct the Simulator "
-                "with timebase='fraction'"
+            raise off_lattice_length(
+                self.slot_adversary, raw_length, self._timebase
             ) from err
         self.open_slot(runtime, start, length)
 
@@ -580,16 +623,25 @@ class Simulator:
             aboard = runtime.queue.head() if action.carries_packet else None
             runtime.aboard_packet = aboard
             self.channel.begin_transmission(runtime.station_id, interval, aboard)
-        heapq.heappush(self._event_heap, (end, runtime.station_id))
+        heapq.heappush(self._heap, (end, runtime.station_id))
 
-    def _start(self) -> None:
-        """Open every station's first slot at time 0."""
+    def _start(self, kernel=None) -> None:
+        """Open every station's first slot at time 0.
+
+        On a batch run the kernel opens them in bulk (``kernel``, see
+        :meth:`repro.core.batch.BatchKernel.start`); the loop below is
+        the object loop's start.
+        """
         self._started = True
+        if kernel is not None:
+            with collector_paused():
+                kernel.start()
+            return
         zero = self._timebase.zero
         with collector_paused():
             self._pump_arrivals(zero)
             for sid in self._station_ids:
-                runtime = self.stations[sid]
+                runtime = self._stations[sid]
                 self._deliver_pending(runtime, zero)
                 ctx = SlotContext(
                     feedback=None, queue_size=len(runtime.queue), slot_index=0
@@ -616,8 +668,8 @@ class Simulator:
         return self.channel.feedback_for(runtime.slot_interval)
 
     def _process_event(self) -> None:
-        end_time, sid = heapq.heappop(self._event_heap)
-        runtime = self.stations[sid]
+        end_time, sid = heapq.heappop(self._heap)
+        runtime = self._stations[sid]
         if end_time != runtime.slot_end:
             raise SimulationError(
                 f"event heap desync for station {sid}: {end_time} != {runtime.slot_end}"
@@ -713,7 +765,7 @@ class Simulator:
             not self.keep_channel_history
             and self.events_processed % _PRUNE_EVERY == 0
         ):
-            low_water = min(rt.slot_start for rt in self.stations.values())
+            low_water = min(rt.slot_start for rt in self._stations.values())
             self.channel._prune_internal(low_water)
 
     # ------------------------------------------------------------------
@@ -757,21 +809,27 @@ class Simulator:
             if limit_time is not None
             else None
         )
-        if not self._started:
-            self._start()
-            if stop_when is not None and stop_when(self):
-                return self
         if self._engine == "batch" and stop_when is None:
             self._batch_run(
                 limit_internal, limit_time, max_events, check_success=False
             )
             return self
+        kernel = self._batch_kernel
+        if kernel is not None:
+            # The object loop takes the scheduling state over.
+            self._write_back()
+            kernel.current = False
+        if not self._started:
+            self._start()
+            if stop_when is not None and stop_when(self):
+                return self
+        heap = self._heap
         while True:
             if max_events is not None and self.events_processed >= max_events:
                 return self
-            if not self._event_heap:
+            if not heap:
                 raise SimulationError("event heap empty — stations always reschedule")
-            if limit_internal is not None and self._event_heap[0][0] > limit_internal:
+            if limit_internal is not None and heap[0][0] > limit_internal:
                 # For integer ticks e and rational limit L, e > floor(L*D)
                 # iff e/D > L, so the stopping test is exact even when the
                 # limit itself is off the lattice.
@@ -795,8 +853,6 @@ class Simulator:
         """
         channel = self.channel
         if self._engine == "batch":
-            if not self._started:
-                self._start()
             self._batch_run(None, None, max_events, check_success=True)
         else:
 
@@ -813,9 +869,11 @@ class Simulator:
     ) -> None:
         """Hand the run to the vectorized kernel (see repro.core.batch).
 
-        The kernel snapshots canonical state into arrays on entry and
-        writes it back on exit, so object-engine steps may freely
-        interleave with kernel runs on the same simulator.
+        The kernel opens the first slots itself on an unstarted run and
+        keeps the scheduling state in its arrays from then on; ``run``
+        hands it back to the object loop before that steps, so
+        object-engine steps may freely interleave with kernel runs on
+        the same simulator.
         """
         kernel = self._batch_kernel
         if kernel is None:
@@ -824,17 +882,37 @@ class Simulator:
             kernel = self._batch_kernel = BatchKernel(self)
         kernel.sim = self  # bound for this run only (see BatchKernel.sim)
         try:
+            if not self._started:
+                self._start(kernel)
             kernel.run(limit_internal, limit_time, max_events, check_success)
         finally:
             kernel.sim = None
 
     def slots_elapsed(self, station_id: int) -> int:
         """Completed slots of one station (the paper's cost measure for SST)."""
-        return self.stations[station_id].slots_elapsed
+        runtime = self._stations[station_id]
+        kernel = self._batch_kernel
+        if kernel is not None and kernel.runtimes_stale:
+            return int(kernel.slots_elapsed[kernel.sids.searchsorted(station_id)])
+        return runtime.slots_elapsed
 
     def max_slots_elapsed(self) -> int:
         """Maximum completed-slot count over stations (Theorem 1's measure)."""
-        return max(rt.slots_elapsed for rt in self.stations.values())
+        kernel = self._batch_kernel
+        if kernel is not None and kernel.runtimes_stale:
+            return int(kernel.slots_elapsed.max())
+        return max(rt.slots_elapsed for rt in self._stations.values())
+
+
+def off_lattice_length(adversary, raw_length, timebase) -> SimulationError:
+    """The error for a slot length off the run's declared lattice."""
+    return SimulationError(
+        f"slot adversary {type(adversary).__name__} produced slot length "
+        f"{as_time(raw_length)} off the run's declared "
+        f"1/{timebase.denominator} time lattice; fix its "
+        "lattice_denominator() declaration or construct the Simulator "
+        "with timebase='fraction'"
+    )
 
 
 def execution_signature(sim: Simulator, *, drain: bool = True) -> Tuple:
@@ -865,5 +943,5 @@ def execution_signature(sim: Simulator, *, drain: bool = True) -> Tuple:
             for p in sim.delivered_packets
         ),
         astuple(sim.channel.stats),
-        tuple(sim.queue_size(sid) for sid in sim.station_ids),
+        tuple(sim.queue_sizes().values()),
     )

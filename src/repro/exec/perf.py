@@ -33,10 +33,12 @@ Two tables:
 
 Per-case speedups and absolute events/sec (plus wall seconds,
 repeats, the quick flag) ride in the identity-exempt ``meta`` block:
-reported, rendered for humans, never failed on.  So do two probes that
-CI's perf-smoke job gates: ``exec_overhead`` (the exec engine's
-bookkeeping on the serial path) and ``observe_overhead`` (what the
-``--metrics`` pack and the streamed JSONL artifact add to a run).
+reported, rendered for humans, never failed on.  So do the probes that
+CI's perf-smoke job gates with steps of its own: ``exec_overhead``
+(the exec engine's bookkeeping on the serial path),
+``observe_overhead`` (what the ``--metrics`` pack and the streamed
+JSONL artifact add to a run), ``cache_hit`` (its relay ratio) and the
+large rrw fleets' start per engine in ``fleet``.
 
 Entry points: ``repro bench perf`` (CLI) and
 ``benchmarks/bench_perf_core.py`` (pytest-benchmark wrapper) both call
@@ -309,18 +311,24 @@ def _run_fleet(case: PerfCase, engine: str, horizon: int):
     """One fleet run on one engine, its set-up timed apart.
 
     Set-up is construction plus ``sim.run(until_time=0)``, which opens
-    every station's first slot (and, on the batch engine, loads and
-    stores the kernel's arrays once).  At n=1e5 it would swamp the
-    short horizons these cases use, so the run is timed from there;
-    the run still includes the batch kernel's array load/store — that
-    is a real per-run cost of the fast path and the reported
-    events/sec must own it.  Returns ``(signature, events, run
-    seconds, engine, set-up seconds)``.
+    every station's first slot: per station on the object loop, in
+    bulk on the batch kernel (``BatchKernel.start``, which also loads
+    the programs).  The start alone is timed too: the build and the
+    young collection after it cost both engines the same, so only the
+    start tells them apart.  At n=1e5 set-up would swamp the short
+    horizons these cases use, so the run is timed from there.  On the
+    kernel the run owns the programs' and the schedule's load on entry
+    and the programs' store on exit, real per-run costs of the fast
+    path that the reported events/sec must own; nothing here reads the
+    runtimes, so they are never written back.  Returns ``(signature,
+    events, run seconds, engine, set-up seconds, start seconds)``.
     """
     spec = _case_spec(case)
     began = perf_counter()
     sim = spec.build(engine=engine)
+    built = perf_counter()
     sim.run(until_time=0)
+    start = perf_counter() - built
     # Set-up runs with the cyclic collector paused, so the young
     # collection over what it allocated falls due at the next
     # allocation; taking it here charges it to set-up, not to the run.
@@ -329,20 +337,20 @@ def _run_fleet(case: PerfCase, engine: str, horizon: int):
     began = perf_counter()
     sim.run(until_time=horizon)
     wall = perf_counter() - began
-    return execution_signature(sim), sim.events_processed, wall, sim.engine, setup
+    return (execution_signature(sim), sim.events_processed, wall,
+            sim.engine, setup, start)
 
 
-def _run_fleet_case(case: PerfCase, engine: str, quick: bool, repeats: int):
-    """Best-of-``repeats`` run and set-up timings for one fleet case on
-    one engine (each the fastest of its own repeats)."""
-    horizon = case.quick_horizon if quick else case.horizon
-    samples = [_run_fleet(case, engine, horizon) for _ in range(max(repeats, 1))]
+def _best_fleet(case: PerfCase, engine: str, samples: Sequence[tuple]):
+    """The fastest run, set-up and start among one engine's repeats of
+    a fleet case (each the fastest of its own)."""
     if any(sample[0] != samples[0][0] for sample in samples):
         raise RuntimeError(
             f"{case.name}: non-deterministic repeat on the {engine} engine"
         )
     best = min(samples, key=lambda sample: sample[2])
-    return (*best[:4], min(sample[4] for sample in samples))
+    return (*best[:4], min(sample[4] for sample in samples),
+            min(sample[5] for sample in samples))
 
 
 def _measure_fleet(
@@ -353,11 +361,18 @@ def _measure_fleet(
     measured: List[Dict[str, Any]] = []
     for case in suite:
         auto = _case_spec(case).build().engine
-        obj_fp, events, obj_s, obj_engine, obj_setup = _run_fleet_case(
-            case, "object", quick, repeats
+        horizon = case.quick_horizon if quick else case.horizon
+        # The engines' repeats alternate, so a host that slows down
+        # part-way through a case weighs on both.
+        samples: Dict[str, List[tuple]] = {"object": [], "batch": []}
+        for _ in range(max(repeats, 1)):
+            for engine, runs in samples.items():
+                runs.append(_run_fleet(case, engine, horizon))
+        obj_fp, events, obj_s, obj_engine, obj_setup, obj_start = (
+            _best_fleet(case, "object", samples["object"])
         )
-        bat_fp, bat_events, bat_s, bat_engine, bat_setup = _run_fleet_case(
-            case, "batch", quick, repeats
+        bat_fp, bat_events, bat_s, bat_engine, bat_setup, bat_start = (
+            _best_fleet(case, "batch", samples["batch"])
         )
         if obj_fp != bat_fp or events != bat_events:
             raise RuntimeError(
@@ -389,6 +404,8 @@ def _measure_fleet(
                 "batch_s": bat_s,
                 "object_setup_s": obj_setup,
                 "batch_setup_s": bat_setup,
+                "object_start_s": obj_start,
+                "batch_start_s": bat_start,
                 "object_evps": round(events / obj_s),
                 "batch_evps": round(events / bat_s),
                 "speedup": speedup,
@@ -875,8 +892,9 @@ def run_perf(
                 }
                 for row in measured
             },
-            # Set-up (build + first slot) is timed apart from the run;
-            # the ev/s columns leave it out.
+            # Set-up (build + first slot) and the start (first slot
+            # alone) are timed apart from the run; the ev/s columns
+            # leave them out.
             "fleet": {
                 row["case"]: {
                     "object_ev/s": row["object_evps"],
@@ -884,6 +902,8 @@ def run_perf(
                     "speedup": row["speedup"],
                     "object_setup_s": round(row["object_setup_s"], 4),
                     "batch_setup_s": round(row["batch_setup_s"], 4),
+                    "object_start_s": round(row["object_start_s"], 4),
+                    "batch_start_s": round(row["batch_start_s"], 4),
                 }
                 for row in fleet
             },
@@ -978,11 +998,13 @@ def render_report(document: Dict[str, Any]) -> List[str]:
             _render_table(
                 {
                     "headers": ["case", "object_ev/s", "batch_ev/s",
-                                "speedup", "object_setup_s", "batch_setup_s"],
+                                "speedup", "object_setup_s", "batch_setup_s",
+                                "object_start_s", "batch_start_s"],
                     "rows": [
                         [case, cell["object_ev/s"], cell["batch_ev/s"],
                          cell["speedup"], cell["object_setup_s"],
-                         cell["batch_setup_s"]]
+                         cell["batch_setup_s"], cell["object_start_s"],
+                         cell["batch_start_s"]]
                         for case, cell in fleet.items()
                     ],
                 }

@@ -150,7 +150,15 @@ def submit_request(
             else:
                 break
             if block:
-                relayed, envelope = _relay(block.decode("utf-8"), out, envelope)
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ServiceError(
+                        f"the stream from {url} broke after {records} "
+                        f"record(s): it is not UTF-8 ({exc.reason} at byte "
+                        f"{exc.start} of a block)"
+                    ) from None
+                relayed, envelope = _relay(text, out, envelope)
                 records += relayed
     if envelope is None:
         raise ServiceError(

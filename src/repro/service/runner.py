@@ -58,6 +58,7 @@ from ..obs import (
     SimulationMetrics,
     current_tracer,
     git_sha,
+    history_enabled,
     record_completion,
 )
 from ..obs.history import served_from
@@ -258,8 +259,11 @@ def record_history(
     artifact-cache replays and run submissions that failed mid-stream.
     The row lands in ``history_db``, else next to a cached grid's
     cache, else in the default database.  Best-effort: returns the row
-    id, or ``None`` (see :func:`repro.obs.record_completion`).
+    id, or ``None`` (see :func:`repro.obs.record_completion`); with
+    history disabled the row is not even built.
     """
+    if not history_enabled():
+        return None
     options = request.options
     if history_db is None and request.command == "grid" and options.cache:
         history_db = pathlib.Path(options.cache_dir) / "history.db"

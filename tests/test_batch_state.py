@@ -9,6 +9,15 @@ field-for-field equal automata: state codes, counters, flags, the
 nested :class:`~repro.algorithms.abs_leader.AbsCore`, the ``stats``
 dataclasses and each ``random.Random`` generator's state.
 
+The kernel keeps the scheduling state (slot index, boundaries, action,
+slots elapsed, the pending events) in its arrays and writes the
+``StationRuntime``s and the event heap only when they are read through
+``Simulator.stations`` or the object loop takes over.  So the same
+cases are cut before any event (the kernel's start alone) and mid-tick,
+and every runtime field and the heap, read through ``stations``, must
+equal the object loop's; one-shot service runs must never write a
+runtime back at all.
+
 It also pins the registry's import-order independence: every vector
 program registers next to its class, whichever batch module is
 imported first, and the modules import without NumPy.
@@ -38,10 +47,17 @@ from repro.algorithms import (
 )
 from repro.arrivals import UniformRate
 from repro.core import Simulator
-from repro.core.batch import BATCH_ALGORITHMS
-from repro.core.station import AlwaysListen, AlwaysTransmit
+from repro.core.batch import BATCH_ALGORITHMS, BatchKernel
+from repro.core.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.core.station import (
+    TRANSMIT_CONTROL,
+    TRANSMIT_PACKET,
+    AlwaysListen,
+    AlwaysTransmit,
+)
 from repro.scenarios import ScenarioSpec
-from repro.timing import Synchronous, worst_case_for
+from repro.service import RunOptions, RunRequest, execute
+from repro.timing import CyclicPattern, Synchronous, worst_case_for
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -165,6 +181,177 @@ def test_batch_writes_back_full_algorithm_state(cls):
             actual = batch_sim.stations[sid].algorithm
             assert type(expected) is cls
             assert object_state(actual) == object_state(expected), (stop, sid)
+
+
+def runtime_state(runtime):
+    """Every field of one ``StationRuntime``; the queue as its packets."""
+    return object_state((
+        runtime.station_id, runtime.algorithm, list(runtime.queue),
+        runtime.slot_index, runtime.slot_start, runtime.slot_end,
+        runtime.slot_interval, runtime.action, runtime.aboard_packet,
+        runtime.slots_elapsed,
+    ))
+
+
+def scheduling_state(sim):
+    """Every runtime, read through ``stations``, and the pending events."""
+    runtimes = [runtime_state(rt) for rt in sim.stations.values()]
+    return runtimes, object_state(sorted(sim._event_heap))
+
+
+#: Cumulative ``max_events`` budgets: 0 runs the start alone, and the
+#: others end inside a tick on every case's fleet (n = 3..12).
+BUDGETS = (0, 1, 7, 23, 101, 250)
+
+
+@needs_numpy
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_runtimes_read_after_any_cut_match_the_object_loop(cls):
+    build, stops = CASES[cls]
+    object_sim = build("object")
+    # One batch run is read after every cut, so every later kernel exit
+    # writes back; the other is read only once all cuts are done.
+    read_each, read_last = build("batch"), build("batch")
+    assert read_each.engine == "batch", read_each.engine_detail
+    for budget in BUDGETS:
+        for sim in (object_sim, read_each, read_last):
+            sim.run(max_events=budget)
+        assert read_each.events_processed == object_sim.events_processed
+        assert scheduling_state(read_each) == scheduling_state(object_sim), (
+            budget
+        )
+    for stop in stops:
+        for sim in (object_sim, read_each, read_last):
+            sim.run(until_time=stop)
+        assert scheduling_state(read_each) == scheduling_state(object_sim), (
+            stop
+        )
+    # Before anything is written back, the readers answer from the
+    # kernel's arrays, in plain ints.
+    ids = object_sim.station_ids
+    elapsed = [read_last.slots_elapsed(sid) for sid in ids]
+    assert elapsed == [object_sim.slots_elapsed(sid) for sid in ids]
+    assert read_last.max_slots_elapsed() == object_sim.max_slots_elapsed()
+    assert read_last.queue_sizes() == object_sim.queue_sizes()
+    values = elapsed + [read_last.max_slots_elapsed()]
+    values += list(read_last.queue_sizes().values())
+    assert {type(value) for value in values} == {int}
+    assert scheduling_state(read_last) == scheduling_state(object_sim)
+
+
+@needs_numpy
+def test_a_held_runtime_reads_current_values_after_a_batch_run():
+    build, stops = CASES[MBTFLike]
+    object_sim, batch_sim = build("object"), build("batch")
+    held = [batch_sim.stations[sid] for sid in batch_sim.station_ids]
+    for stop in stops:
+        object_sim.run(until_time=stop)
+        batch_sim.run(until_time=stop)
+        assert [runtime_state(rt) for rt in held] == [
+            runtime_state(rt) for rt in object_sim.stations.values()
+        ]
+
+
+@needs_numpy
+def test_one_shot_service_runs_write_no_runtime_back(monkeypatch):
+    written = []
+    write = BatchKernel.write_runtimes
+
+    def counted(kernel, sim):
+        written.append(sim)
+        write(kernel, sim)
+
+    monkeypatch.setattr(BatchKernel, "write_runtimes", counted)
+    spec = ScenarioSpec(
+        algorithm="mbtf", n=48, max_slot=2, rho="1/2", horizon=80,
+        schedule={"name": "sync"},
+    )
+    run = execute(RunRequest(specs=(spec,)))
+    grid = execute(RunRequest(specs=(spec,), command="grid"))
+    [cell] = grid.report.results
+    assert (run.engine, cell.engine) == ("batch", "batch")
+    assert written == []
+    reference = execute(RunRequest(
+        specs=(spec,), options=RunOptions(engine="object"),
+    )).metrics.per_station_queue
+    assert any(reference.values())
+    for queues in (run.metrics.per_station_queue,
+                   cell.metrics.per_station_queue):
+        assert queues == reference
+        assert [type(size) for size in queues.values()] == [int] * spec.n
+
+
+@needs_numpy
+def test_sst_on_the_kernel_reports_what_the_object_loop_does():
+    # Wide enough for auto to promote: the election runs on the kernel,
+    # then the object loop takes the state over until every station
+    # knows the outcome.
+    spec = ScenarioSpec(
+        algorithm="abs", n=48, max_slot=2, schedule="worst", seed=0,
+        rho=None,
+    )
+    reports = {}
+    for engine in ("object", "batch", "auto"):
+        result = execute(RunRequest(
+            specs=(spec,), command="sst", options=RunOptions(engine=engine),
+        ))
+        assert result.ok
+        reports[engine] = (result.engine, result.sst["solved_at"],
+                           result.sst["winner"], result.sst["max_slots"])
+    assert reports["auto"][0] == "batch"
+    assert len({report[1:] for report in reports.values()}) == 1
+
+
+@needs_numpy
+@pytest.mark.parametrize("slot", [0, 1])
+def test_a_malformed_cyclic_length_raises_at_kernel_entry(slot):
+    patterns = {sid: [1, "3/2", 2] for sid in range(1, 41)}
+    patterns[17][slot] = 3  # outside [1, R] for R = 2
+
+    def build(engine):
+        return Simulator(
+            {sid: RRW(sid, 40) for sid in patterns},
+            CyclicPattern(patterns), max_slot_length=2, engine=engine,
+        )
+
+    with pytest.raises(ConfigurationError) as object_error:
+        build("object").run(until_time=10)
+    with pytest.raises(ConfigurationError) as batch_error:
+        build("batch").run(max_events=0)
+    assert str(batch_error.value) == str(object_error.value)
+    assert str(batch_error.value) == (
+        "slot length 3 outside the legal range [1, 2]"
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("fault", ["packet", "control", "off-lattice"])
+def test_the_kernel_start_raises_the_object_loops_error(fault):
+    # Station 17 of 40 opens slot 0 illegally: a packet from its empty
+    # queue, a control message RRW does not declare, or a slot length
+    # off the lattice the adversary declared at construction.
+    def build(engine):
+        adversary = CyclicPattern({sid: [1, 2] for sid in range(1, 41)})
+        fleet = {sid: RRW(sid, 40) for sid in range(1, 41)}
+        sim = Simulator(fleet, adversary, max_slot_length=2, engine=engine)
+        if fault == "packet":
+            fleet[17].first_action = lambda ctx: TRANSMIT_PACKET
+        elif fault == "control":
+            fleet[17].first_action = lambda ctx: TRANSMIT_CONTROL
+        else:
+            adversary.patterns[17] = (Fraction(3, 2), Fraction(1))
+        return sim
+
+    with pytest.raises((ProtocolError, SimulationError)) as object_error:
+        build("object").run(until_time=10)
+    with pytest.raises((ProtocolError, SimulationError)) as batch_error:
+        build("batch").run(max_events=0)
+    assert type(batch_error.value) is type(object_error.value)
+    assert str(batch_error.value) == str(object_error.value)
+    assert str(batch_error.value).startswith(
+        "slot adversary CyclicPattern" if fault == "off-lattice"
+        else "station 17: RRW"
+    )
 
 
 def _run_isolated(script):

@@ -10,6 +10,10 @@ whose last line has no newline.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -17,6 +21,8 @@ import pytest
 
 from repro.scenarios import ScenarioSpec
 from repro.service import RunRequest, ServiceError, submit_request
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 REQUEST = RunRequest(specs=(ScenarioSpec(
     algorithm="ca-arrow", n=3, max_slot="2", schedule="worst", rho="1/2",
@@ -175,3 +181,31 @@ class TestRelay:
         server.sink = _Sink()
         submit_request(url, REQUEST, out=server.sink, timeout=60)
         assert server.sink.text() == records
+
+    @pytest.mark.parametrize("size", [7, 1 << 20])
+    def test_invalid_utf8_is_a_service_error(self, stub, size):
+        server, url = stub
+        good = "".join(_record(i) for i in range(2)).encode("utf-8")
+        body = good + b'{"type":"slot","note":"\xff\xfe"}\n' + ENVELOPE.encode()
+        server.chunks, server.sink = _chunks(body, size), _Sink()
+        with pytest.raises(ServiceError,
+                           match=r"broke after \d+ record\(s\): it is not UTF-8"):
+            submit_request(url, REQUEST, out=server.sink, timeout=60)
+        # Whatever was relayed before the bad block is whole records.
+        assert good.decode("utf-8").startswith(server.sink.text())
+
+    def test_repro_submit_reports_invalid_utf8_in_one_line(self, stub, tmp_path):
+        server, url = stub
+        body = _record(0).encode("utf-8") + b'{"note":"\xff\xfe"}\n'
+        server.chunks, server.sink = [body], _Sink()
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(REQUEST.spec.to_json())
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "submit", str(spec_path),
+             "--url", url, "--out", str(tmp_path / "out.jsonl")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert "broke after 0 record(s): it is not UTF-8" in done.stderr

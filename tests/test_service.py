@@ -216,6 +216,21 @@ class TestHistoryRows:
         assert (entry.cells, entry.served_from) == (2, "exec")
         assert set(entry.extra) == {"engines"}
 
+    def test_disabled_history_builds_no_row(self, monkeypatch):
+        from repro.service import runner
+
+        def row_part(*args, **kwargs):
+            raise AssertionError("a history row was built while disabled")
+
+        monkeypatch.setenv("REPRO_NO_HISTORY", "1")
+        monkeypatch.setattr(runner, "_spec_hash", row_part)
+        monkeypatch.setattr(runner, "git_sha", row_part)
+        run = execute(RunRequest(specs=(_spec(),)))
+        grid = execute(RunRequest(specs=(_spec(),), command="grid"))
+        assert run.ok and grid.ok
+        assert (run.history_id, grid.history_id) == (None, None)
+        assert _kinds() == []
+
     def test_sst_adds_one_sst_row_with_engine(self):
         result = execute(RunRequest(specs=(_sst_spec(),), command="sst"))
         assert _kinds() == ["sst"]

@@ -67,6 +67,16 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             sim.run()
 
+    def test_attributes_fit_a_shared_key_dict(self):
+        # CPython (3.11-3.13) keeps an instance's attributes in a
+        # shared-key dict, whose reads the per-event loop relies on, only
+        # up to 29 of them; a 30th made every object-loop run about 5%
+        # slower.  Reading ``stations`` adds one.
+        sim = Simulator([AlwaysListen(), AlwaysListen()], Synchronous(), 1)
+        sim.run(until_time=5)
+        assert sim.stations
+        assert len(vars(sim)) <= 29
+
 
 class TestEventLoop:
     def test_until_time_processes_all_slots_ending_by_then(self):
