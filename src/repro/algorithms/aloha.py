@@ -8,15 +8,16 @@ AO-/CA-ARRoW sustain every ``rho < 1``.  The Aloha comparison bench
 
 The station transmits its head packet with probability ``p`` in every
 slot where its queue is non-empty, independently across slots.  The RNG
-is part of the explicit station state (seeded per station), so runs
-replay deterministically and adversarial look-ahead through
-:meth:`~repro.core.station.StationAlgorithm.clone` stays sound.
+is part of the explicit station state (seeded per station, at its first
+draw), so runs replay deterministically and adversarial look-ahead
+through :meth:`~repro.core.station.StationAlgorithm.clone` stays sound.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from ..core.errors import ConfigurationError
 from ..core.station import (
@@ -60,12 +61,21 @@ class SlottedAloha(StationAlgorithm):
             )
         self.station_id = station_id
         self.transmit_probability = transmit_probability
-        self._rng = random.Random((seed << 20) ^ station_id)
+        self._seed = (seed << 20) ^ station_id
+        self._rng: Optional[random.Random] = None
         self.stats = AlohaStats()
         self._was_transmitting = False
 
+    def rng(self) -> random.Random:
+        """This station's generator, seeded at the first draw: in a large
+        fleet most stations never hold a packet, so never draw."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return rng
+
     def _decide(self, queue_size: int) -> Action:
-        if queue_size > 0 and self._rng.random() < self.transmit_probability:
+        if queue_size > 0 and self.rng().random() < self.transmit_probability:
             self.stats.attempts += 1
             self._was_transmitting = True
             return TRANSMIT_PACKET

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from ..core.errors import ConfigurationError
 from ..core.timebase import TimeLike, as_time
@@ -48,12 +48,30 @@ def _check_rho(rho: TimeLike) -> Fraction:
     return rate
 
 
-#: Memoises the per-``R`` slot counts: every station of a fleet asks for
-#: the same few, and each costs several Fraction operations.  Keyed by
-#: argument type too, so ``True`` or a float never reuses the entry of an
-#: equal int or Fraction (``as_time`` treats those differently); bounded,
-#: as one process may see many ``R``.
-_per_r = lru_cache(maxsize=256, typed=True)
+def _per_r(count):
+    """Memoise one per-``R`` slot count: every station of a fleet asks
+    for the same few, and each costs several Fraction operations.
+
+    A fleet shares one ``R`` object, so the last argument is matched by
+    identity first, and every station after the first skips hashing it.
+    Behind that, an ``lru_cache`` keyed by argument type too, so
+    ``True`` or a float never reuses the entry of an equal int or
+    Fraction (``as_time`` treats those differently); bounded, as one
+    process may see many ``R``.
+    """
+    cached = lru_cache(maxsize=256, typed=True)(count)
+    last = (object(), None)
+
+    @wraps(count)
+    def per_r(max_slot_length):
+        nonlocal last
+        argument, value = last
+        if argument is not max_slot_length:
+            value = cached(max_slot_length)
+            last = (max_slot_length, value)
+        return value
+
+    return per_r
 
 
 # ----------------------------------------------------------------------

@@ -10,24 +10,26 @@ Design contract (the parity-oracle contract, see docs/vectorization.md):
 
 * The kernel mutates only the simulator's canonical objects — the real
   :class:`~repro.core.channel.Channel`, the real
-  :class:`~repro.core.packet.PacketQueue` per station, the real
-  :class:`~repro.core.trace.Trace` — through the same calls, in the
-  same order, as the object path.  On a batch run the kernel opens
-  slot 0 itself (:meth:`BatchKernel.start`), calling each automaton's
-  own ``first_action``, and from then on its arrays hold the
-  scheduling state (slot index and boundaries, slots elapsed, action
-  codes, queue depths, the tick frontier).  The ``StationRuntime``s
-  and the event heap are written from them
-  (:meth:`BatchKernel.write_runtimes`) only just before the object loop
-  steps and when ``Simulator.stations`` is read — after which every
-  kernel exit writes back — so object- and batch-engine ``run()``
+  :class:`~repro.core.packet.PacketQueue` of each station that has
+  received a packet, the real :class:`~repro.core.trace.Trace` — through
+  the same calls, in the same order, as the object path.  On a batch
+  run the kernel opens slot 0 itself (:meth:`BatchKernel.start`),
+  calling each automaton's own ``first_action``, and from then on its
+  arrays hold the scheduling state (slot index and boundaries, slots
+  elapsed, action codes, queue depths, the tick frontier).  The
+  simulator builds no ``StationRuntime`` for it: the kernel makes a
+  station's queue when its first packet arrives, and
+  :meth:`BatchKernel.write_runtimes` builds the runtimes (handing them
+  those queues) and writes the event heap only just before the object
+  loop steps and when ``Simulator.stations`` is read — after which
+  every kernel exit writes back — so object- and batch-engine ``run()``
   calls can be freely interleaved on one simulator.  Readers of a
-  finished run (queue sizes, slots elapsed, the execution signature)
-  answer from the queues and arrays without writing back.  Automaton
-  state is mirrored on every entry and stored on every exit that
-  stepped: each vector program declares the fields it mirrors
-  (:attr:`AlgorithmProgram.mirrored`), and one gather and one scatter
-  copy them all.
+  finished run (queue sizes, algorithms, slots elapsed, the execution
+  signature) answer from the fleet and the arrays without building a
+  runtime.  Automaton state is mirrored on every entry and stored on
+  every exit that stepped: each vector program declares the fields it
+  mirrors (:attr:`AlgorithmProgram.mirrored`), and one gather and one
+  scatter copy them all.
 * Results are **bit-identical** to the object engine.  The enabling
   observation is same-tick causality: a transmission starting at tick
   ``t`` can never affect the feedback of a slot ending at ``t``
@@ -73,6 +75,7 @@ differs, and error paths are outside the parity contract.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
@@ -104,6 +107,7 @@ from ..analysis.bounds import (
 )
 from .collector import collector_paused
 from .errors import ConfigurationError, ProtocolError, SimulationError
+from .packet import PacketQueue
 from .station import (
     LISTEN,
     TRANSMIT_CONTROL,
@@ -113,7 +117,12 @@ from .station import (
     SlotContext,
 )
 from .timebase import Interval, OffLatticeError
-from .simulator import _PRUNE_EVERY, off_lattice_length
+from .simulator import (
+    _PRUNE_EVERY,
+    StationRuntime,
+    illegal_action,
+    off_lattice_length,
+)
 
 #: Action codes used inside the kernel (``int8``).
 _A_LISTEN, _A_TX_PKT, _A_TX_CTRL = 0, 1, 2
@@ -187,7 +196,8 @@ def batch_blocker(sim) -> Optional[str]:
             f"slot adversary {adversary_cls.__name__} has no vectorized "
             "schedule program"
         )
-    algorithm_classes = {type(rt.algorithm) for rt in sim._stations.values()}
+    fleet = list(sim._algorithms.values())
+    algorithm_classes = set(map(type, fleet))
     if len(algorithm_classes) > 1:
         names = ", ".join(sorted(cls.__name__ for cls in algorithm_classes))
         return f"mixed station algorithm classes ({names}) are object-path only"
@@ -198,7 +208,6 @@ def batch_blocker(sim) -> Optional[str]:
             f"station algorithm {algorithm_cls.__name__} has no vectorized "
             "program"
         )
-    fleet = [rt.algorithm for rt in sim._stations.values()]
     reason = program_cls.check(fleet)
     if reason is not None:
         return reason
@@ -435,8 +444,9 @@ class AlwaysTransmitProgram(AlgorithmProgram):
 class SlottedAlohaProgram(AlgorithmProgram):
     """Stats and the was-transmitting flag vectorize; the per-station
     Bernoulli draws stay scalar calls on each station's own
-    ``random.Random`` (drawn only when the queue is non-empty, exactly
-    as ``SlottedAloha._decide`` does), so RNG streams remain canonical.
+    ``random.Random`` (through ``SlottedAloha.rng``, drawn only when the
+    queue is non-empty, exactly as ``SlottedAloha._decide`` does), so
+    RNG streams remain canonical.
     """
 
     mirrored = (
@@ -452,7 +462,7 @@ class SlottedAlohaProgram(AlgorithmProgram):
         algos = self.algos
         for j in np.nonzero(q > 0)[0]:
             algo = algos[int(m[j])]
-            if algo._rng.random() < algo.transmit_probability:
+            if algo.rng().random() < algo.transmit_probability:
                 acts[j] = _A_TX_PKT
                 transmitting[j] = True
         self.attempts[m] += transmitting
@@ -962,12 +972,10 @@ class RandomUniformProgram(ScheduleProgram):
         self.per_step = lattice_d // adversary._denominator
 
     def lengths(self, m, new_index):
-        rng = self.adversary._rng
+        randint = self.adversary._rng.randint
         steps = self.steps
-        out = np.empty(len(m), dtype=np.int64)
-        for j in range(len(m)):
-            out[j] = self.base + rng.randint(0, steps) * self.per_step
-        return out
+        draws = [randint(0, steps) for _ in range(len(m))]
+        return self.base + np.array(draws, dtype=np.int64) * self.per_step
 
 
 # ----------------------------------------------------------------------
@@ -984,11 +992,11 @@ class BatchKernel:
 
     Constructed once per simulator (``Simulator._batch_kernel``).  From
     the kernel's first start or entry on, its arrays hold the run's
-    scheduling state; the runtimes and the event heap are written from
-    them only when read (``Simulator.stations``) or when the object loop
-    takes over, which clears :attr:`current` so that the next entry
-    gathers again.  So object-engine steps may happen between kernel
-    runs.
+    scheduling state; the runtimes (built on the first write) and the
+    event heap are written from them only when read
+    (``Simulator.stations``) or when the object loop takes over, which
+    clears :attr:`current` so that the next entry gathers again.  So
+    object-engine steps may happen between kernel runs.
     """
 
     def __init__(self, sim) -> None:
@@ -1002,17 +1010,23 @@ class BatchKernel:
         self.max_dur = sim._max_slot_internal
         self.sids_list: List[int] = list(sim.station_ids)
         self.sids = np.array(self.sids_list, dtype=np.int64)
-        self.runtimes = list(sim._stations.values())
-        self.algos = [rt.algorithm for rt in self.runtimes]
-        self.queues = [rt.queue for rt in self.runtimes]
+        self.algos = list(sim._algorithms.values())
+        #: The simulator's runtimes in fleet order, once it has them.
+        self.runtimes: Optional[List[StationRuntime]] = None
+        #: Each station's queue, in fleet order: ``None`` until it
+        #: receives a packet, unless the runtimes (which hold one each)
+        #: already exist.
+        self.queues: List[Optional[PacketQueue]] = [None] * len(self.algos)
+        if sim._stations is not None:
+            self._bind_runtimes(sim)
         algorithm_cls = type(self.algos[0])
         self.program: AlgorithmProgram = BATCH_ALGORITHMS[algorithm_cls](self)
         self.schedule: ScheduleProgram = BATCH_SCHEDULES[
             type(sim.slot_adversary)
         ](self, sim.slot_adversary)
         #: Whether the scheduling arrays (slot fields, action codes,
-        #: queue lengths, pending set, frontier) are the simulator's
-        #: current state; the object loop clears it before stepping.
+        #: queue lengths, frontier) are the simulator's current state;
+        #: the object loop clears it before stepping.
         self.current = False
         #: Whether the runtimes and the event heap lag the arrays (until
         #: :meth:`write_runtimes`).
@@ -1033,16 +1047,15 @@ class BatchKernel:
         their arrays; slot 0's lengths come from the schedule program
         (its draws in ascending id order), and only the transmitting
         members open a channel record, in id order.  No runtime is
-        written: the arrays hold the state from here on.
+        built: the arrays hold the state from here on.
         """
         sim = self.sim
         zero = self.tb.zero
+        n = len(self.sids_list)
+        self.qlen = np.zeros(n, dtype=np.int64)
         sim._pump_arrivals(zero)
-        pending = sim._pending_arrivals
-        waiting = [sid for sid, packets in pending.items() if packets]
-        for sid in waiting:
-            sim._deliver_pending(sim._stations[sid], zero)
-        sizes = list(map(len, self.queues))
+        self._deliver_arrivals(np.arange(n))
+        sizes = self.qlen.tolist()
         contexts = {size: SlotContext(None, size, 0) for size in set(sizes)}
         actions = [
             algo.first_action(contexts[size])
@@ -1053,11 +1066,13 @@ class BatchKernel:
         # The object loop's checks, in id order: its error for the
         # first illegal first action.
         for i in transmitting:
-            sim._validate_action(self.runtimes[i], actions[i])
-        n = len(self.sids_list)
+            action, algo = actions[i], self.algos[i]
+            if not (
+                self.queues[i] if action.carries_packet
+                else algo.uses_control_messages
+            ):
+                raise illegal_action(self.sids_list[i], algo, action)
         self.action_code = codes
-        self.qlen = np.array(sizes, dtype=np.int64)
-        self._pending_nonempty = {sid for sid in waiting if pending[sid]}
         self.slot_index = np.zeros(n, dtype=np.int64)
         self.slot_start = np.zeros(n, dtype=np.int64)
         self.slots_elapsed = np.zeros(n, dtype=np.int64)
@@ -1089,21 +1104,26 @@ class BatchKernel:
         self.schedule.load()
 
     def _gather_runtimes(self) -> None:
-        """Take the scheduling state over from the runtimes, the queues
-        and the pending arrivals (after object-loop steps)."""
-        runtimes = self.runtimes
+        """Take the scheduling state over from the runtimes and the
+        queues (after object-loop steps)."""
+        runtimes = self._bind_runtimes(self.sim)
         for name in _RUNTIME_FIELDS:
             setattr(self, name, _gather(runtimes, name, "int64"))
         self.action_code = _action_codes([rt.action for rt in runtimes])
         self.qlen = np.fromiter(
             map(len, self.queues), np.int64, len(self.queues)
         )
-        self._pending_nonempty = {
-            sid for sid, pending in self.sim._pending_arrivals.items()
-            if pending
-        }
         self._build_frontier()
         self.current = True
+
+    def _bind_runtimes(self, sim) -> List[StationRuntime]:
+        """``sim``'s runtimes in fleet order, built (handed the queues
+        the kernel made) if it has none yet; their queues are the
+        kernel's from then on."""
+        if self.runtimes is None:
+            self.runtimes = list(sim._runtimes(self.queues).values())
+            self.queues = [rt.queue for rt in self.runtimes]
+        return self.runtimes
 
     def _build_frontier(self) -> None:
         # Frontier: one entry per distinct end tick, holding ascending
@@ -1129,9 +1149,10 @@ class BatchKernel:
             self.program.store()
 
     def write_runtimes(self, sim) -> None:
-        """Write the scheduling state into ``sim``'s runtimes and event
-        heap, as the object loop would hold them."""
-        runtimes = self.runtimes
+        """Write the scheduling state into ``sim``'s runtimes (built
+        here on the first write) and event heap, as the object loop
+        would hold them."""
+        runtimes = self._bind_runtimes(sim)
         for name in _RUNTIME_FIELDS:
             _scatter(runtimes, name, "int64", getattr(self, name))
         starts = self.slot_start.tolist()
@@ -1219,9 +1240,7 @@ class BatchKernel:
         sim._now_internal = tick
         sim._now_exact = None
         if tick >= sim._arrivals_not_before:
-            injected = sim._pump_arrivals(tick)
-            if injected:
-                self._pending_nonempty.update(injected)
+            sim._pump_arrivals(tick)
 
         fb, acked = self._feedback(m, tick)
         codes = self.action_code[m]
@@ -1242,26 +1261,7 @@ class BatchKernel:
                 trace.on_backlog_change(tick_public, sim._total_backlog)
                 self.qlen[i] -= 1
 
-        if self._pending_nonempty:
-            # Arrivals become visible at the owner's own slot boundary.
-            # Every pending packet has arrival tick <= now (the pump ran
-            # with upto=now), so members drain their whole pending list.
-            member_sids = self.sids[m]
-            drained = []
-            for sid in self._pending_nonempty:
-                pos = int(np.searchsorted(member_sids, sid))
-                if pos < len(member_sids) and member_sids[pos] == sid:
-                    i = int(m[pos])
-                    pending = sim._pending_arrivals[sid]
-                    queue = self.queues[i]
-                    for _at, packet in pending:
-                        queue.push(packet)
-                    self.qlen[i] += len(pending)
-                    pending.clear()
-                    drained.append(sid)
-            for sid in drained:
-                self._pending_nonempty.discard(sid)
-
+        self._deliver_arrivals(m)
         self.slots_elapsed[m] += 1
         new_index = self.slot_index[m] + 1
         q = self.qlen[m]
@@ -1270,10 +1270,8 @@ class BatchKernel:
         bad = (acts == _A_TX_PKT) & (q == 0)
         if bool(np.any(bad)):
             i = int(m[int(np.argmax(bad))])
-            raise ProtocolError(
-                f"station {self.sids_list[i]}: "
-                f"{type(self.algos[i]).__name__} transmitted a packet "
-                "from an empty queue"
+            raise illegal_action(
+                self.sids_list[i], self.algos[i], TRANSMIT_PACKET
             )
 
         lengths = self.schedule.lengths(m, new_index)
@@ -1327,6 +1325,39 @@ class BatchKernel:
         ticks, first = np.unique(sorted_ends, return_index=True)
         for end, piece in zip(ticks, np.split(sorted_members, first[1:])):
             self._push(int(end), piece)
+
+    def _deliver_arrivals(self, m) -> None:
+        """Move the members' pending arrivals into their queues.
+
+        Arrivals become visible at the owner's own slot boundary.  Every
+        pending packet has arrival tick <= now (the pump ran with
+        upto=now), so members drain their whole pending list.  A
+        station's queue is made when its first packet arrives.
+        """
+        pending = self.sim._pending_arrivals
+        if not pending:
+            return
+        member_sids = self.sids[m]
+        drained = []
+        for sid in pending:
+            pos = int(np.searchsorted(member_sids, sid))
+            if pos < len(member_sids) and member_sids[pos] == sid:
+                drained.append((sid, int(m[pos])))
+        for sid, i in drained:
+            packets = pending.pop(sid)
+            queue = self.queues[i]
+            if queue is None:
+                queue = self.queues[i] = PacketQueue(station_id=sid)
+            for _at, packet in packets:
+                queue.push(packet)
+            self.qlen[i] += len(packets)
+
+    def index(self, station_id: int) -> int:
+        """The fleet index of ``station_id`` (``KeyError`` if none)."""
+        i = bisect_left(self.sids_list, station_id)
+        if i == len(self.sids_list) or self.sids_list[i] != station_id:
+            raise KeyError(station_id)
+        return i
 
     def _feedback(self, m, tick: int):
         """Feedback codes for every member slot ending at ``tick``.

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -159,9 +160,9 @@ class Simulator:
     #: Whether ``stations`` was handed out: from then on every batch
     #: kernel exit writes the runtimes back, so a runtime a caller holds
     #: is never stale.  A class default that the first read overrides:
-    #: an instance keeps its attributes in a shared-key dict only up to
-    #: 29 of them, and the object loop's attribute reads are fastest
-    #: there.
+    #: instances keep their attributes in a shared-key dict only up to
+    #: 29 names across the class, and the object loop's attribute reads
+    #: are fastest there.
     _stations_shared = False
 
     def __init__(
@@ -180,14 +181,14 @@ class Simulator:
     ) -> None:
         self.keep_channel_history = keep_channel_history
         if isinstance(algorithms, Mapping):
-            items = sorted(algorithms.items())
+            fleet = dict(algorithms)
+            ids = sorted(fleet)
+            if ids != list(fleet):
+                fleet = {sid: fleet[sid] for sid in ids}
         else:
-            items = list(enumerate(algorithms, start=1))
-        if not items:
+            fleet = dict(enumerate(algorithms, start=1))
+        if not fleet:
             raise ConfigurationError("at least one station is required")
-        ids = [sid for sid, _ in items]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"duplicate station ids: {ids}")
 
         self.max_slot_length = as_time(max_slot_length)
         if self.max_slot_length < 1:
@@ -207,16 +208,14 @@ class Simulator:
         self._max_slot_internal = self._timebase.to_internal(self.max_slot_length)
         self.channel = Channel(probes=probes, timebase=self._timebase)
 
-        # Read through the ``stations`` property from outside: on a batch
-        # run the kernel's arrays hold the scheduling state, and the
-        # property writes it back first.
-        self._stations: Dict[int, StationRuntime] = {
-            sid: StationRuntime(
-                station_id=sid, algorithm=algo, queue=PacketQueue(station_id=sid)
-            )
-            for sid, algo in items
-        }
-        self._station_ids: Tuple[int, ...] = tuple(ids)
+        #: The station automata by id, in ascending id order.
+        self._algorithms: Dict[int, StationAlgorithm] = fleet
+        self._station_ids: Tuple[int, ...] = tuple(fleet)
+        # The per-station runtimes, built by ``_runtimes`` when the object
+        # loop starts or they are first read: on a batch run the kernel's
+        # arrays hold the scheduling state instead, and ``stations``
+        # writes it back first.
+        self._stations: Optional[Dict[int, StationRuntime]] = None
         # Polling-skip fast path: sources exposing ``next_arrival_hint``
         # promise no arrival strictly before the hinted instant, letting
         # the event loop skip ``arrivals_until`` entirely until then.
@@ -228,17 +227,16 @@ class Simulator:
         self._now_exact: Optional[Time] = None
         self.events_processed = 0
         self._heap: List[Tuple[object, int]] = []
-        self._pending_arrivals: Dict[int, List[Tuple[object, Packet]]] = {
-            sid: [] for sid in ids
-        }
-        self._next_packet_id = 0
+        #: The arrivals not yet visible to their station, by id: only
+        #: stations holding some have an entry.
+        self._pending_arrivals: Dict[int, List[Tuple[object, Packet]]] = {}
         self._total_backlog = 0
         self._delivered_packets: List[Packet] = []
         self._started = False
 
         if initial_packets:
             zero = self._timebase.zero
-            for sid in ids:
+            for sid in self._station_ids:
                 for _ in range(initial_packets):
                     self._inject(sid, zero)
 
@@ -399,12 +397,13 @@ class Simulator:
 
         After a batch run the kernel's arrays hold the scheduling state
         (slot index, boundaries, action, slots elapsed, the pending
-        events); reading this writes it back into the runtimes, and
-        from then on every kernel exit writes back too.
+        events) and no runtime exists; reading this builds the runtimes
+        and writes that state into them, and from then on every kernel
+        exit writes back too.
         """
         self._stations_shared = True
         self._write_back()
-        return self._stations
+        return self._runtimes()
 
     @property
     def _event_heap(self) -> List[Tuple[object, int]]:
@@ -421,9 +420,37 @@ class Simulator:
             with collector_paused():
                 kernel.write_runtimes(self)
 
+    def _runtimes(
+        self, queues: Optional[Sequence[Optional[PacketQueue]]] = None
+    ) -> Dict[int, StationRuntime]:
+        """The runtime dict, built on first need: by the object loop's
+        start (or a read before any start), or by
+        :meth:`BatchKernel.write_runtimes
+        <repro.core.batch.BatchKernel.write_runtimes>`, which hands over
+        the queues it made, in id order (``None`` for a station that
+        never held a packet, which gets an empty one)."""
+        stations = self._stations
+        if stations is None:
+            if queues is None:
+                queues = repeat(None)
+            stations = self._stations = {
+                sid: StationRuntime(
+                    station_id=sid,
+                    algorithm=algorithm,
+                    queue=PacketQueue(station_id=sid) if queue is None else queue,
+                )
+                for (sid, algorithm), queue in zip(
+                    self._algorithms.items(), queues
+                )
+            }
+        return stations
+
     def queue_size(self, station_id: int) -> int:
         """Current queue length of one station (pending arrivals excluded)."""
-        return len(self._stations[station_id].queue)
+        kernel = self._batch_kernel
+        if kernel is not None and kernel.current:
+            return int(kernel.qlen[kernel.index(station_id)])
+        return len(self._runtimes()[station_id].queue)
 
     def queue_sizes(self) -> Dict[int, int]:
         """Every station's queue length, by ascending id (pending
@@ -431,7 +458,7 @@ class Simulator:
         kernel = self._batch_kernel
         if kernel is not None and kernel.current:
             return dict(zip(kernel.sids_list, kernel.qlen.tolist()))
-        return {sid: len(rt.queue) for sid, rt in self._stations.items()}
+        return {sid: len(rt.queue) for sid, rt in self._runtimes().items()}
 
     @property
     def total_backlog(self) -> int:
@@ -450,7 +477,7 @@ class Simulator:
         return self._delivered_packets
 
     def algorithm(self, station_id: int) -> StationAlgorithm:
-        return self._stations[station_id].algorithm
+        return self._algorithms[station_id]
 
     # ------------------------------------------------------------------
     # Packet injection
@@ -463,13 +490,18 @@ class Simulator:
         is the exact Fraction.
         """
         at_public = self._timebase.to_public(at)
+        # Ids count the packets injected so far: the backlog and the
+        # delivered ones.
         packet = Packet(
-            packet_id=self._next_packet_id,
+            packet_id=self._total_backlog + len(self._delivered_packets),
             station_id=station_id,
             arrival_time=at_public,
         )
-        self._next_packet_id += 1
-        self._pending_arrivals[station_id].append((at, packet))
+        pending = self._pending_arrivals.get(station_id)
+        if pending is None:
+            self._pending_arrivals[station_id] = [(at, packet)]
+        else:
+            pending.append((at, packet))
         self._total_backlog += 1
         self.trace.on_backlog_change(at_public, self._total_backlog)
         probes = self.probes
@@ -484,7 +516,7 @@ class Simulator:
                 callback(event)
         return packet
 
-    def _pump_arrivals(self, upto) -> List[int]:
+    def _pump_arrivals(self, upto) -> None:
         """Pull all arrivals with time <= ``upto`` (internal units).
 
         The source speaks public time: it receives the exact Fraction
@@ -493,15 +525,11 @@ class Simulator:
         instant, events strictly before the hint skip the poll: for
         integer ticks ``upto < ceil(hint * D)`` iff ``upto/D < hint``,
         so the skip is exact.
-
-        Returns the station ids injected into (with multiplicity), so
-        the batch kernel can track which pending lists became nonempty.
         """
-        injected: List[int] = []
         if upto < self._arrivals_not_before:
-            return injected
+            return
         if self.arrival_source is None:
-            return injected
+            return
         timebase = self._timebase
         upto_public = timebase.to_public(upto)
         for at, station_id in self.arrival_source.arrivals_until(self, upto_public):
@@ -510,7 +538,7 @@ class Simulator:
                 raise SimulationError(
                     f"arrival source produced a future arrival {exact} > {upto_public}"
                 )
-            if station_id not in self._stations:
+            if station_id not in self._algorithms:
                 raise SimulationError(f"arrival for unknown station {station_id}")
             try:
                 internal = timebase.to_internal(exact)
@@ -522,14 +550,12 @@ class Simulator:
                     "the Simulator with timebase='fraction'"
                 ) from err
             self._inject(station_id, internal)
-            injected.append(station_id)
         hint_fn = self._arrival_hint
         if hint_fn is not None:
             hint = hint_fn()
             self._arrivals_not_before = (
                 _NEVER if hint is None else timebase.ceil_internal(hint)
             )
-        return injected
 
     def _deliver_pending(self, runtime: StationRuntime, upto) -> None:
         """Move arrivals with time <= ``upto`` into the station's queue.
@@ -538,16 +564,20 @@ class Simulator:
         injected packets visible to the algorithm between consecutive
         slots.
         """
-        pending = self._pending_arrivals[runtime.station_id]
-        if not pending:
+        pending = self._pending_arrivals
+        sid = runtime.station_id
+        if sid not in pending:
             return
         still_pending: List[Tuple[object, Packet]] = []
-        for at, packet in pending:
+        for at, packet in pending[sid]:
             if at <= upto:
                 runtime.queue.push(packet)
             else:
                 still_pending.append((at, packet))
-        self._pending_arrivals[runtime.station_id] = still_pending
+        if still_pending:
+            pending[sid] = still_pending
+        else:
+            del pending[sid]
 
     # ------------------------------------------------------------------
     # Slot machinery
@@ -558,17 +588,9 @@ class Simulator:
             return
         if action.carries_packet:
             if not runtime.queue:
-                raise ProtocolError(
-                    f"station {runtime.station_id}: "
-                    f"{type(runtime.algorithm).__name__} transmitted a packet "
-                    "from an empty queue"
-                )
+                raise illegal_action(runtime.station_id, runtime.algorithm, action)
         elif not runtime.algorithm.uses_control_messages:
-            raise ProtocolError(
-                f"station {runtime.station_id}: "
-                f"{type(runtime.algorithm).__name__} sent a control message "
-                "but declares uses_control_messages=False"
-            )
+            raise illegal_action(runtime.station_id, runtime.algorithm, action)
 
     def _begin_slot(self, runtime: StationRuntime, start, action: Action) -> None:
         """Open the next slot: fix its adversarial length, start any transmission."""
@@ -639,9 +661,9 @@ class Simulator:
             return
         zero = self._timebase.zero
         with collector_paused():
+            stations = self._runtimes()
             self._pump_arrivals(zero)
-            for sid in self._station_ids:
-                runtime = self._stations[sid]
+            for runtime in stations.values():
                 self._deliver_pending(runtime, zero)
                 ctx = SlotContext(
                     feedback=None, queue_size=len(runtime.queue), slot_index=0
@@ -890,18 +912,32 @@ class Simulator:
 
     def slots_elapsed(self, station_id: int) -> int:
         """Completed slots of one station (the paper's cost measure for SST)."""
-        runtime = self._stations[station_id]
         kernel = self._batch_kernel
         if kernel is not None and kernel.runtimes_stale:
-            return int(kernel.slots_elapsed[kernel.sids.searchsorted(station_id)])
-        return runtime.slots_elapsed
+            return int(kernel.slots_elapsed[kernel.index(station_id)])
+        return self._runtimes()[station_id].slots_elapsed
 
     def max_slots_elapsed(self) -> int:
         """Maximum completed-slot count over stations (Theorem 1's measure)."""
         kernel = self._batch_kernel
         if kernel is not None and kernel.runtimes_stale:
             return int(kernel.slots_elapsed.max())
-        return max(rt.slots_elapsed for rt in self._stations.values())
+        return max(rt.slots_elapsed for rt in self._runtimes().values())
+
+
+def illegal_action(station_id: int, algorithm, action: Action) -> ProtocolError:
+    """The error for a transmission the station may not make: a packet
+    from an empty queue, or a control message its algorithm does not
+    declare."""
+    if action.carries_packet:
+        return ProtocolError(
+            f"station {station_id}: {type(algorithm).__name__} transmitted "
+            "a packet from an empty queue"
+        )
+    return ProtocolError(
+        f"station {station_id}: {type(algorithm).__name__} sent a control "
+        "message but declares uses_control_messages=False"
+    )
 
 
 def off_lattice_length(adversary, raw_length, timebase) -> SimulationError:

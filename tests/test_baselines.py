@@ -5,6 +5,7 @@ The Fig. 1 story these back up: all of them behave well at ``R = 1``
 TDMA) break under bounded asynchrony.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from repro.algorithms import MBTFLike, NaiveTDMA, RRW, SlottedAloha
 from repro.analysis import assess_stability, collect_metrics
 from repro.arrivals import UniformRate
 from repro.core import ConfigurationError, Simulator, Trace
+from repro.core.station import SlotContext
 from repro.timing import PerStationFixed, Synchronous, worst_case_for
 
 from .helpers import make_mbtf, make_rrw
@@ -160,6 +162,20 @@ class TestSlottedAloha:
             SlottedAloha(1, transmit_probability=0.0)
         with pytest.raises(ConfigurationError):
             SlottedAloha(1, transmit_probability=1.5)
+
+    def test_a_clone_before_the_first_draw_draws_the_same_sequence(self):
+        original = SlottedAloha(3, transmit_probability=0.5, seed=11)
+        clone = original.clone()
+        # One generator per station, seeded from (seed << 20) ^ id at
+        # its first draw.
+        expected = random.Random((11 << 20) ^ 3)
+        sequence = [expected.random() for _ in range(25)]
+        ctx = SlotContext(feedback=None, queue_size=1, slot_index=0)
+        actions = []
+        for algo in (original, clone):
+            actions.append([algo.first_action(ctx) for _ in range(5)])
+            assert [algo.rng().random() for _ in range(20)] == sequence[5:25]
+        assert actions[0] == actions[1]
 
     def test_deterministic_per_seed(self):
         def run(seed):

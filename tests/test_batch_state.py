@@ -10,13 +10,14 @@ nested :class:`~repro.algorithms.abs_leader.AbsCore`, the ``stats``
 dataclasses and each ``random.Random`` generator's state.
 
 The kernel keeps the scheduling state (slot index, boundaries, action,
-slots elapsed, the pending events) in its arrays and writes the
-``StationRuntime``s and the event heap only when they are read through
-``Simulator.stations`` or the object loop takes over.  So the same
-cases are cut before any event (the kernel's start alone) and mid-tick,
-and every runtime field and the heap, read through ``stations``, must
-equal the object loop's; one-shot service runs must never write a
-runtime back at all.
+slots elapsed, the pending events) in its arrays; the
+``StationRuntime``s and the event heap are built and written from them
+only when they are read through ``Simulator.stations`` or the object
+loop takes over.  So the same cases are cut before any event (the
+kernel's start alone) and mid-tick, and every runtime field and the
+heap, read through ``stations``, must equal the object loop's; one-shot
+runs must never build or write a runtime at all, and make a packet
+queue only for a station that received a packet.
 
 It also pins the registry's import-order independence: every vector
 program registers next to its class, whichever batch module is
@@ -45,6 +46,7 @@ from repro.algorithms import (
     RRW,
     SlottedAloha,
 )
+from repro.analysis import collect_metrics
 from repro.arrivals import UniformRate
 from repro.core import Simulator
 from repro.core.batch import BATCH_ALGORITHMS, BatchKernel
@@ -227,15 +229,21 @@ def test_runtimes_read_after_any_cut_match_the_object_loop(cls):
             stop
         )
     # Before anything is written back, the readers answer from the
-    # kernel's arrays, in plain ints.
+    # fleet and the kernel's arrays, in plain ints, and build no runtime.
     ids = object_sim.station_ids
     elapsed = [read_last.slots_elapsed(sid) for sid in ids]
     assert elapsed == [object_sim.slots_elapsed(sid) for sid in ids]
     assert read_last.max_slots_elapsed() == object_sim.max_slots_elapsed()
     assert read_last.queue_sizes() == object_sim.queue_sizes()
-    values = elapsed + [read_last.max_slots_elapsed()]
+    sizes = [read_last.queue_size(sid) for sid in ids]
+    assert sizes == [object_sim.queue_size(sid) for sid in ids]
+    assert object_state([read_last.algorithm(sid) for sid in ids]) == (
+        object_state([object_sim.algorithm(sid) for sid in ids])
+    )
+    values = elapsed + sizes + [read_last.max_slots_elapsed()]
     values += list(read_last.queue_sizes().values())
     assert {type(value) for value in values} == {int}
+    assert read_last._stations is None
     assert scheduling_state(read_last) == scheduling_state(object_sim)
 
 
@@ -279,6 +287,61 @@ def test_one_shot_service_runs_write_no_runtime_back(monkeypatch):
                    cell.metrics.per_station_queue):
         assert queues == reference
         assert [type(size) for size in queues.values()] == [int] * spec.n
+
+
+def _count_constructions(monkeypatch, module, name):
+    """Wrap class ``name`` where ``module`` makes it; return the list of
+    instances it made."""
+    made = []
+    cls = getattr(module, name)
+
+    def construct(*args, **kwargs):
+        instance = cls(*args, **kwargs)
+        made.append(instance)
+        return instance
+
+    monkeypatch.setattr(module, name, construct)
+    return made
+
+
+@needs_numpy
+def test_a_batch_run_builds_runtimes_and_queues_only_when_read(monkeypatch):
+    import repro.core.batch as batch_module
+    import repro.core.simulator as simulator_module
+
+    spec = ScenarioSpec(
+        algorithm="rrw", n=48, max_slot=1, rho="1/2", horizon=80,
+        schedule={"name": "sync"},
+    )
+    reference = spec.build(engine="object")
+    reference.run(until_time=spec.horizon)
+    received = [
+        sid for sid, runtime in reference.stations.items()
+        if runtime.queue.total_enqueued
+    ]
+    assert 0 < len(received) < spec.n
+
+    runtimes = _count_constructions(
+        monkeypatch, simulator_module, "StationRuntime"
+    )
+    queues = _count_constructions(monkeypatch, batch_module, "PacketQueue")
+    queues_at_read = _count_constructions(
+        monkeypatch, simulator_module, "PacketQueue"
+    )
+    sim = spec.build()
+    assert sim.engine == "batch", sim.engine_detail
+    sim.run(until_time=spec.horizon)
+    metrics = collect_metrics(sim)
+    assert metrics.per_station_queue == reference.queue_sizes()
+    assert runtimes == [] and queues_at_read == []
+    assert sorted(queue.station_id for queue in queues) == received
+
+    # A read builds every runtime once, handing over the kernel's queues.
+    assert scheduling_state(sim) == scheduling_state(reference)
+    assert len(runtimes) == spec.n
+    assert len(queues_at_read) == spec.n - len(received)
+    for queue in queues:
+        assert sim.stations[queue.station_id].queue is queue
 
 
 @needs_numpy
