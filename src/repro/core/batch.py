@@ -135,6 +135,15 @@ _CODE_OF = {id(action): code for code, action in enumerate(_ACTIONS)}
 #: Feedback codes used inside the kernel (``int8``).
 _F_SILENCE, _F_BUSY, _F_ACK = 0, 1, 2
 
+#: The automata's errors for silence on a slot the station transmitted in.
+_TX_SILENCE_ERROR = (
+    "silence feedback on a transmitting slot — broken channel model"
+)
+_ABS_SILENCE_ERROR = (
+    "channel reported silence for a slot this station "
+    "transmitted in — broken channel model"
+)
+
 #: Station-algorithm class -> AlgorithmProgram subclass.  Dispatch is by
 #: *exact* type: a subclass may override anything, so it must register
 #: its own program (or demote to the object path).
@@ -495,9 +504,7 @@ class RRWProgram(AlgorithmProgram):
         silent = fb == _F_SILENCE
         acked = fb == _F_ACK
         if bool(np.any(holding & silent)):
-            raise ProtocolError(
-                "silence feedback on a transmitting slot — broken channel model"
-            )
+            raise ProtocolError(_TX_SILENCE_ERROR)
         burst_more = holding & acked & (q > 0)
         retry = holding & (fb == _F_BUSY)
         self.packets_sent[m] += holding & acked
@@ -515,6 +522,35 @@ class RRWProgram(AlgorithmProgram):
         self.turn[m] = turn
         self.transmitting[m] = transmitting
         return np.where(transmitting, _A_TX_PKT, _A_LISTEN).astype(np.int8)
+
+
+def _end_turn_on_ack(program, m, acked, has_q, acts):
+    """The turn holder's slot end on an ACK, for the members ``acked``.
+
+    An empty signal ends the turn; a delivered packet bursts on while
+    the queue holds more.  Counts both, writes the burst's actions into
+    ``acts`` and returns the members whose turn is over.  Shared by the
+    turn rings (MBTF and both CA-ARRoWs), which mirror ``noise``,
+    ``empty_signals`` and ``packets_sent``.
+    """
+    noise = program.noise[m]
+    empty = acked & noise
+    program.empty_signals[m] += empty
+    sent = acked & ~noise
+    program.packets_sent[m] += sent
+    burst = sent & has_q
+    acts[burst] = _A_TX_PKT
+    return empty | (sent & ~burst)
+
+
+def _begin_turn(program, m, begin, has_q, acts) -> None:
+    """The members ``begin`` take their turn: a packet, or an empty
+    signal (the ``noise`` flag) when the queue is empty.  The caller
+    moves them to its transmitting state."""
+    program.turns_taken[m] += begin
+    program.noise[m[begin]] = ~has_q[begin]
+    acts[begin & has_q] = _A_TX_PKT
+    acts[begin & ~has_q] = _A_TX_CTRL
 
 
 _MBTF_STATES = ("wait", "transmit_pending", "transmit")
@@ -537,66 +573,44 @@ class MBTFLikeProgram(AlgorithmProgram):
     def step(self, m, fb, q, new_index):
         state = self.state[m]
         heard = self.heard[m]
-        noise = self.noise[m]
         turn = self.turn[m]
         silent = fb == _F_SILENCE
-        busy = fb == _F_BUSY
-        acked = fb == _F_ACK
+        has_q = q > 0
 
         transmit = state == 2
         if bool(np.any(transmit & silent)):
-            raise ProtocolError(
-                "silence feedback on a transmitting slot — broken channel model"
-            )
+            raise ProtocolError(_TX_SILENCE_ERROR)
         acts = np.zeros(len(m), dtype=np.int8)
 
-        retry = transmit & busy
+        retry = transmit & (fb == _F_BUSY)
         self.retries[m] += retry
-        acts[retry] = np.where(noise[retry], _A_TX_CTRL, _A_TX_PKT)
-
-        done = transmit & acked
-        self.empty_signals[m] += done & noise
-        self.packets_sent[m] += done & ~noise
-        burst_more = done & ~noise & (q > 0)
-        acts[burst_more] = _A_TX_PKT
-        finish = done & ~burst_more  # fall silent; own burst counts as activity
+        acts[retry] = np.where(self.noise[m][retry], _A_TX_CTRL, _A_TX_PKT)
+        # Fall silent; the own burst counts as activity.
+        finish = _end_turn_on_ack(
+            self, m, transmit & (fb == _F_ACK), has_q, acts
+        )
 
         pending = state == 1  # transmit_pending: begin regardless of feedback
-        self.turns_taken[m] += pending
-        begin_pkt = pending & (q > 0)
-        begin_ctrl = pending & (q == 0)
-        acts[begin_pkt] = _A_TX_PKT
-        acts[begin_ctrl] = _A_TX_CTRL
+        _begin_turn(self, m, pending, has_q, acts)
 
         waiting = state == 0
-        hear = waiting & (busy | acked)
         advance = waiting & silent & heard
+        heard[finish | (waiting & ~silent)] = True
+        turn[advance] = turn[advance] % self.n[m][advance] + 1
+        heard[advance] = False
+        state[finish] = 0
+        state[pending] = 2
+        state[advance & (turn == self.sids[m])] = 1
 
-        new_state = state.copy()
-        new_heard = heard.copy()
-        new_noise = noise.copy()
-        new_turn = turn.copy()
-        new_state[finish] = 0
-        new_heard[finish] = True
-        new_state[pending] = 2
-        new_noise[begin_pkt] = False
-        new_noise[begin_ctrl] = True
-        new_heard[hear] = True
-        new_turn[advance] = turn[advance] % self.n[m][advance] + 1
-        new_heard[advance] = False
-        my_turn = advance & (new_turn == self.sids[m])
-        new_state[my_turn] = 1
-
-        self.state[m] = new_state
-        self.heard[m] = new_heard
-        self.noise[m] = new_noise
-        self.turn[m] = new_turn
+        self.state[m] = state
+        self.heard[m] = heard
+        self.turn[m] = turn
         return acts
 
 
 _ABS_STATES = ("wait_silence", "listen_threshold", "transmitted")
 
-#: The nested :class:`AbsCore`'s mirrored fields.
+#: The :class:`AbsCore`'s mirrored fields, relative to the core.
 _CORE_FIELDS: Tuple[Field, ...] = (
     ("ast", "state", _ABS_STATES),
     ("aphase", "phase", "int64"),
@@ -604,6 +618,59 @@ _CORE_FIELDS: Tuple[Field, ...] = (
     ("athr", "threshold", "int64"),
     ("aused", "slots_used", "int64"),
 )
+
+
+def _abs_core_step(program, m, live, fb):
+    """``AbsCore.step`` for the members ``live``: advances the
+    :data:`_CORE_FIELDS` arrays and returns four masks — fire (box (5):
+    transmit next slot), eliminated by ACK, eliminated by BUSY, and won.
+
+    The caller owns what the outcome means (the standalone wrapper
+    records it, AO-ARRoW and k-selection change their outer state).
+    The listening thresholds are the program's ``t0``/``t1``.
+    """
+    ast = program.ast[m]
+    phase = program.aphase[m]
+    silent = program.asil[m]
+    threshold = program.athr[m]
+    sil = fb == _F_SILENCE
+    busy = fb == _F_BUSY
+    acked = fb == _F_ACK
+
+    program.aused[m] += live
+    a0 = live & (ast == 0)
+    a1 = live & (ast == 1)
+    a2 = live & (ast == 2)
+    if bool(np.any(a2 & sil)):
+        raise ProtocolError(_ABS_SILENCE_ERROR)
+
+    arm = a0 & sil  # box (1) -> box (2): read the bit, arm its threshold
+    bit = (program.sids[m] >> phase) & 1
+    threshold = np.where(
+        arm, np.where(bit == 1, program.t1[m], program.t0[m]), threshold
+    )
+    silent[arm] = 0
+    ast[arm] = 1
+    count = a1 & sil  # boxes (3)/(4)
+    silent += count
+    fire = count & (silent >= threshold)
+    ast[fire] = 2
+    collide = a2 & busy  # next bit, back to box (1)
+    phase += collide
+    ast[collide] = 0
+
+    program.ast[m] = ast
+    program.aphase[m] = phase
+    program.asil[m] = silent
+    program.athr[m] = threshold
+    return fire, (a0 | a1) & acked, a1 & busy, a2 & acked
+
+
+def _fresh_core(program, members) -> None:
+    """The fleet indices ``members`` start a fresh ``AbsCore``: every
+    core field's initial value is zero."""
+    for name, _, _ in _CORE_FIELDS:
+        getattr(program, name)[members] = 0
 
 
 class AbsCoreProgram(AlgorithmProgram):
@@ -690,11 +757,12 @@ _KSEL_STATES = ("election", "observe", "finished")
 
 @vectorizes(KSelection)
 class KSelectionProgram(NestedAbsCoreProgram):
-    """k-selection: the outer observe/re-enter machine and the inner ABS
-    core both become int8 state arrays.  ``rank`` is mirrored with -1
+    """k-selection: the outer observe/re-enter machine around a nested
+    ABS core, masked like AO-ARRoW's.  ``rank`` is mirrored with -1
     standing for ``None``.
     """
 
+    adaptive = True
     election = _KSEL_STATES.index("election")
     carries_packet = False
     mirrored = (
@@ -714,93 +782,44 @@ class KSelectionProgram(NestedAbsCoreProgram):
 
     def step(self, m, fb, q, new_index):
         ks = self.state[m]
-        ast = self.ast[m]
-        phase = self.aphase[m]
-        silent = self.asil[m]
-        threshold = self.athr[m]
-        used = self.aused[m]
-        wins = self.wins[m]
         rank = self.rank[m]
         saw = self.saw_ack[m]
-        sids = self.sids[m]
         sil = fb == _F_SILENCE
-        busy = fb == _F_BUSY
         acked = fb == _F_ACK
-
-        electing = ks == 0
-        used = used + electing  # AbsCore.step: slots_used += 1
-        a0 = electing & (ast == 0)
-        a1 = electing & (ast == 1)
-        a2 = electing & (ast == 2)
-        if bool(np.any(a2 & sil)):
-            raise ProtocolError(
-                "channel reported silence for a slot this station "
-                "transmitted in — broken channel model"
-            )
         observing = ks == 1
+        fire, elim_ack, elim_busy, won = _abs_core_step(
+            self, m, ks == self.election, fb
+        )
 
         # Every win counted this step, in wrapper terms: elimination by
         # ack (boxes (1)/(3)/(4)), winning (box (5)), or an observing
         # station hearing the round's first ack.
-        w_ack = a0 & acked
-        l_ack = a1 & acked
-        x_ack = a2 & acked
         ob_ack = observing & acked & ~saw
-        win = w_ack | l_ack | x_ack | ob_ack
-        wins = wins + win
-        rank = np.where(x_ack, wins, rank)  # rank = wins_observed + 1
+        win = elim_ack | won | ob_ack
+        wins = self.wins[m] + win
+        rank = np.where(won, wins, rank)  # rank = wins_observed + 1
         finished = win & (wins >= self.k[m])
 
-        new_ks = ks.copy()
-        new_saw = saw.copy()
-        new_ks[finished] = 2
-        to_observe_ack = (w_ack | l_ack) & ~finished
-        to_observe_quiet = (a1 & busy) | (x_ack & ~finished)
-        new_ks[to_observe_ack | to_observe_quiet] = 1
-        new_saw[to_observe_ack] = True
-        new_saw[to_observe_quiet] = False
-        new_saw[ob_ack & ~finished] = True
-
-        # ABS inner transitions (non-terminal ones).
-        arm = a0 & sil  # box (1) -> boxes (3)/(4)
-        bit = (sids >> phase) & 1
-        threshold = np.where(
-            arm, np.where(bit == 1, self.t1[m], self.t0[m]), threshold
-        )
-        silent_n = np.where(arm, 0, silent)
-        ast_n = np.where(arm, 1, ast)
-        count = a1 & sil
-        silent_n = silent_n + count
-        fire = count & (silent_n >= threshold)  # box (5): transmit
-        ast_n = np.where(fire, 2, ast_n)
-        next_phase = a2 & busy  # collision: next bit, back to box (1)
-        phase = phase + next_phase
-        ast_n = np.where(next_phase, 0, ast_n)
-
         # Observe: the round-ending silence; unranked stations re-enter
-        # with a *fresh* core.
+        # with a fresh core.
         round_over = observing & sil & saw
-        new_saw[round_over] = False
         reenter = round_over & (rank < 0)
-        new_ks[reenter] = 0
-        ast_n = np.where(reenter, 0, ast_n)
-        phase = np.where(reenter, 0, phase)
-        silent_n = np.where(reenter, 0, silent_n)
-        threshold = np.where(reenter, 0, threshold)
-        used = np.where(reenter, 0, used)
+        ks[finished] = 2
+        to_observe_ack = elim_ack & ~finished
+        to_observe_quiet = elim_busy | (won & ~finished)
+        ks[to_observe_ack | to_observe_quiet] = 1
+        ks[reenter] = 0
+        saw[to_observe_ack | (ob_ack & ~finished)] = True
+        saw[to_observe_quiet | round_over] = False
+        _fresh_core(self, m[reenter])
 
         acts = np.zeros(len(m), dtype=np.int8)
         acts[fire] = _A_TX_CTRL  # KSelection cores never carry packets
 
-        self.state[m] = new_ks
-        self.ast[m] = ast_n
-        self.aphase[m] = phase
-        self.asil[m] = silent_n
-        self.athr[m] = threshold
-        self.aused[m] = used
+        self.state[m] = ks
         self.wins[m] = wins
         self.rank[m] = rank
-        self.saw_ack[m] = new_saw
+        self.saw_ack[m] = saw
         return acts
 
     def store(self) -> None:
@@ -1034,6 +1053,12 @@ class BatchKernel:
         #: Whether :meth:`start` just loaded the programs, so the run
         #: that follows it need not load them again.
         self._fresh = False
+        #: The tick frontier: one entry per distinct end tick, holding
+        #: ascending fleet-index arrays.  Replaces the per-station (end,
+        #: sid) heap while the kernel holds the state; write_runtimes
+        #: rebuilds that heap.
+        self._groups: Dict[int, List] = {}
+        self._tick_heap: List[int] = []
 
     # -- the start ----------------------------------------------------
 
@@ -1052,9 +1077,10 @@ class BatchKernel:
         sim = self.sim
         zero = self.tb.zero
         n = len(self.sids_list)
+        everyone = np.arange(n)
         self.qlen = np.zeros(n, dtype=np.int64)
         sim._pump_arrivals(zero)
-        self._deliver_arrivals(np.arange(n))
+        self._deliver_arrivals(everyone)
         sizes = self.qlen.tolist()
         contexts = {size: SlotContext(None, size, 0) for size in set(sizes)}
         actions = [
@@ -1078,16 +1104,8 @@ class BatchKernel:
         self.slots_elapsed = np.zeros(n, dtype=np.int64)
         self.program.load()
         self.schedule.load()
-        self.slot_end = zero + self.schedule.lengths(
-            np.arange(n), self.slot_index
-        )
-        channel = sim.channel
-        for i, end in zip(transmitting, self.slot_end[transmitting].tolist()):
-            aboard = self.queues[i].head() if codes[i] == _A_TX_PKT else None
-            channel.begin_transmission(
-                self.sids_list[i], Interval(zero, end), aboard
-            )
-        self._build_frontier()
+        self.slot_end = zero + self.schedule.lengths(everyone, self.slot_index)
+        self._open_slots(everyone, zero, self.slot_end, codes)
         self.current = True
         self._fresh = True
         self.runtimes_stale = True
@@ -1126,16 +1144,9 @@ class BatchKernel:
         return self.runtimes
 
     def _build_frontier(self) -> None:
-        # Frontier: one entry per distinct end tick, holding ascending
-        # fleet-index arrays.  Replaces the per-station (end, sid) heap
-        # while the kernel holds the state; write_runtimes rebuilds it.
-        order = np.argsort(self.slot_end, kind="stable")
-        sorted_ends = self.slot_end[order]
-        ticks, first = np.unique(sorted_ends, return_index=True)
-        self._groups: Dict[int, List] = {}
-        self._tick_heap: List[int] = []
-        for tick, piece in zip(ticks, np.split(order, first[1:])):
-            self._push(int(tick), piece)
+        self._groups = {}
+        self._tick_heap = []
+        self._push_ends(np.arange(len(self.sids_list)), self.slot_end)
 
     def _store(self, stepped: bool) -> None:
         sim = self.sim
@@ -1176,6 +1187,29 @@ class BatchKernel:
             heapq.heappush(self._tick_heap, tick)
         else:
             group.append(members)
+
+    def _push_ends(self, m, ends) -> None:
+        """Put the members ``m`` on the frontier at their ``ends``, one
+        ascending piece per distinct end tick."""
+        order = np.argsort(ends, kind="stable")
+        ticks, first = np.unique(ends[order], return_index=True)
+        for end, piece in zip(ticks.tolist(), np.split(m[order], first[1:])):
+            self._push(end, piece)
+
+    def _open_slots(self, m, start: int, ends, codes) -> None:
+        """Open the members' slots ``[start, end)`` with actions
+        ``codes``: a channel record per transmitting member, in id
+        order, then the frontier push."""
+        tx = codes != _A_LISTEN
+        channel = self.sim.channel
+        for i, end, code in zip(
+            m[tx].tolist(), ends[tx].tolist(), codes[tx].tolist()
+        ):
+            aboard = self.queues[i].head() if code == _A_TX_PKT else None
+            channel.begin_transmission(
+                self.sids_list[i], Interval(start, end), aboard
+            )
+        self._push_ends(m, ends)
 
     # -- the loop -----------------------------------------------------
 
@@ -1282,30 +1316,12 @@ class BatchKernel:
             last_boundary = after - after % _PRUNE_EVERY
             if last_boundary > sim.events_processed:
                 prune_k = last_boundary - sim.events_processed
-                old_member_starts = self.slot_start[m].copy()
+                old_member_starts = self.slot_start[m]
         self.slot_index[m] = new_index
         self.slot_start[m] = tick
         self.slot_end[m] = ends
         self.action_code[m] = acts
-
-        transmitting = acts != _A_LISTEN
-        if bool(np.any(transmitting)):
-            channel = sim.channel
-            tx_members = m[transmitting]
-            tx_ends = ends[transmitting]
-            tx_codes = acts[transmitting]
-            for j in range(len(tx_members)):
-                i = int(tx_members[j])
-                aboard = (
-                    self.queues[i].head()
-                    if tx_codes[j] == _A_TX_PKT
-                    else None
-                )
-                channel.begin_transmission(
-                    self.sids_list[i],
-                    Interval(tick, int(tx_ends[j])),
-                    aboard,
-                )
+        self._open_slots(m, tick, ends, acts)
 
         sim.events_processed += len(m)
         if prune_k:
@@ -1318,13 +1334,6 @@ class BatchKernel:
             starts = self.slot_start.copy()
             starts[m[prune_k:]] = old_member_starts[prune_k:]
             sim.channel._prune_internal(int(starts.min()))
-
-        order = np.argsort(ends, kind="stable")
-        sorted_ends = ends[order]
-        sorted_members = m[order]
-        ticks, first = np.unique(sorted_ends, return_index=True)
-        for end, piece in zip(ticks, np.split(sorted_members, first[1:])):
-            self._push(int(end), piece)
 
     def _deliver_arrivals(self, m) -> None:
         """Move the members' pending arrivals into their queues.

@@ -1,20 +1,28 @@
 """Vector programs for the adaptive families — ABS and the ARRoWs.
 
-The programs in :mod:`repro.core.batch` cover algorithms whose per-slot
+Most programs in :mod:`repro.core.batch` cover algorithms whose per-slot
 decision is a single expression over current state (Aloha draw, turn
 comparison, threshold count).  The adaptive families — ABS leader
-election, AO-ARRoW, CA-ARRoW and the fault-tolerant CA-ARRoW — are
-per-event *automata*: one ``on_slot_end`` call may traverse several
-transitions (an ABS win immediately enters the drain state and
-transmits; an observe-state round boundary immediately begins a fresh
-election).  They vectorize under a masked-update / fixed-point
-formulation:
+election, AO-ARRoW, CA-ARRoW and the fault-tolerant CA-ARRoW here, and
+k-selection there — are per-event *automata*: one ``on_slot_end`` call
+may traverse several transitions (an ABS win immediately enters the
+drain state and transmits; an observe-state round boundary immediately
+begins a fresh election).  They vectorize under a masked-update /
+fixed-point formulation:
 
 * Every automaton field becomes a parallel array (``int8`` state codes,
   ``int64`` counters, ``bool`` flags).  Inner machines nest the same
   way: AO-ARRoW's per-election :class:`~repro.algorithms.abs_leader.
   AbsCore` is five more arrays, valid exactly for the members whose
   outer state is ``election``.
+* A transition several automata share is written once, in
+  :mod:`repro.core.batch`, and every program whose automaton has it
+  calls it: a program that nests or wraps an ``AbsCore`` steps it with
+  ``_abs_core_step`` (which hands back the fire, eliminated-by-ACK,
+  eliminated-by-BUSY and won masks for the wrapper to act on) and
+  restarts it with ``_fresh_core``; a program whose stations hold a
+  turn ends the holder's slot on an ACK with ``_end_turn_on_ack`` and
+  begins a turn with ``_begin_turn``.
 * One tick decomposes into a bounded chain of *masked sub-steps*, all
   computed from the tick-start state snapshot: feedback classification,
   then one disjoint mask per source state, then the follow-on
@@ -56,18 +64,23 @@ except ImportError:  # pragma: no cover - the toolchain bakes numpy in
 from ..algorithms.abs_leader import ABSLeaderElection
 from ..algorithms.ao_arrow import AOArrow
 from ..algorithms.ca_arrow import CAArrow
-from ..algorithms.ca_arrow_ft import FaultTolerantCAArrow
+from ..algorithms.ca_arrow_ft import FaultTolerantCAArrow, _ceil
 from .errors import ProtocolError
 from .batch import (
-    _ABS_STATES,
     _A_TX_CTRL,
     _A_TX_PKT,
+    _CORE_FIELDS,
     _F_ACK,
     _F_BUSY,
     _F_SILENCE,
+    _TX_SILENCE_ERROR,
     AbsCoreProgram,
     AlgorithmProgram,
     NestedAbsCoreProgram,
+    _abs_core_step,
+    _begin_turn,
+    _end_turn_on_ack,
+    _fresh_core,
     vectorizes,
 )
 
@@ -77,30 +90,19 @@ from .batch import (
 #: behaviour (the scalar path re-checks against the exact integers).
 _LADDER_GATE_MAX = 1 << 62
 
-_ABS_SILENCE_ERROR = (
-    "channel reported silence for a slot this station "
-    "transmitted in — broken channel model"
-)
-_TX_SILENCE_ERROR = (
-    "silence feedback on a transmitting slot — broken channel model"
-)
-
 
 @vectorizes(ABSLeaderElection)
 class ABSLeaderElectionProgram(AbsCoreProgram):
     """Standalone ABS: the wrapper holds one :class:`AbsCore` forever
     (terminated stations listen without stepping the core), so the
-    program is the core's five fields plus the outcome as arrays."""
+    program is the core's fields plus the outcome as arrays."""
 
     adaptive = True
-    mirrored = (
-        ("ast", "core.state", _ABS_STATES),
+    mirrored = tuple(
+        (name, "core." + path, kind) for name, path, kind in _CORE_FIELDS
+    ) + (
         ("outcome", "core.outcome", (None, "won", "eliminated")),
         ("by_ack", "core.eliminated_by_ack", "bool"),
-        ("phase", "core.phase", "int64"),
-        ("silent", "core.silent_heard", "int64"),
-        ("threshold", "core.threshold", "int64"),
-        ("used", "core.slots_used", "int64"),
     )
     constants = (
         ("t0", "core._threshold0", "int64"),
@@ -109,62 +111,17 @@ class ABSLeaderElectionProgram(AbsCoreProgram):
     )
 
     def step(self, m, fb, q, new_index):
-        ast = self.ast[m]
-        outcome = self.outcome[m]
-        phase = self.phase[m]
-        silent = self.silent[m]
-        threshold = self.threshold[m]
-        sids = self.sids[m]
-        sil = fb == _F_SILENCE
-        busy = fb == _F_BUSY
-        acked = fb == _F_ACK
-
-        live = outcome == 0
-        self.used[m] += live  # AbsCore.step: slots_used += 1
-        a0 = live & (ast == 0)
-        a1 = live & (ast == 1)
-        a2 = live & (ast == 2)
-        if bool(np.any(a2 & sil)):
-            raise ProtocolError(_ABS_SILENCE_ERROR)
-
-        elim_ack = (a0 | a1) & acked
-        elim_busy = a1 & busy
-        won = a2 & acked
-
-        new_out = outcome.copy()
-        new_by_ack = self.by_ack[m].copy()
-        new_out[elim_ack] = 2
-        new_by_ack[elim_ack] = True
-        new_out[elim_busy] = 2
-        new_by_ack[elim_busy] = False
-        new_out[won] = 1
-
-        arm = a0 & sil  # box (1) -> boxes (3)/(4)
-        bit = (sids >> phase) & 1
-        threshold = np.where(
-            arm, np.where(bit == 1, self.t1[m], self.t0[m]), threshold
+        fire, elim_ack, elim_busy, won = _abs_core_step(
+            self, m, self.outcome[m] == 0, fb
         )
-        silent = np.where(arm, 0, silent)
-        ast_n = np.where(arm, 1, ast)
-        count = a1 & sil
-        silent = silent + count
-        fire = count & (silent >= threshold)  # box (5): transmit
-        ast_n = np.where(fire, 2, ast_n)
-        next_phase = a2 & busy  # collision: next bit, back to box (1)
-        phase = phase + next_phase
-        ast_n = np.where(next_phase, 0, ast_n)
-
+        self.outcome[m[elim_ack | elim_busy]] = 2
+        self.outcome[m[won]] = 1
+        self.by_ack[m[elim_ack]] = True
+        self.by_ack[m[elim_busy]] = False
         acts = np.zeros(len(m), dtype=np.int8)
         carries = self.carries[m]
         acts[fire & carries] = _A_TX_PKT
         acts[fire & ~carries] = _A_TX_CTRL
-
-        self.ast[m] = ast_n
-        self.outcome[m] = new_out
-        self.by_ack[m] = new_by_ack
-        self.phase[m] = phase
-        self.silent[m] = silent
-        self.threshold[m] = threshold
         return acts
 
 
@@ -200,15 +157,10 @@ class AOArrowProgram(NestedAbsCoreProgram):
 
     def step(self, m, fb, q, new_index):
         st = self.state[m]
-        wait = self.wait[m].copy()
-        silence = self.silence[m].copy()
-        saw = self.saw[m].copy()
-        sync = self.sync[m].copy()
-        ast = self.ast[m]
-        aphase = self.aphase[m].copy()
-        asil = self.asil[m].copy()
-        athr = self.athr[m].copy()
-        sids = self.sids[m]
+        wait = self.wait[m]
+        silence = self.silence[m]
+        saw = self.saw[m]
+        sync = self.sync[m]
         sil = fb == _F_SILENCE
         busy = fb == _F_BUSY
         acked = fb == _F_ACK
@@ -220,29 +172,10 @@ class AOArrowProgram(NestedAbsCoreProgram):
         begin_el = np.zeros(len(m), dtype=bool)
 
         # --- election members: one AbsCore.step each -----------------
-        el = st == 1
-        self.aused[m] += el
-        e0 = el & (ast == 0)
-        e1 = el & (ast == 1)
-        e2 = el & (ast == 2)
-        if bool(np.any(e2 & sil)):
-            raise ProtocolError(_ABS_SILENCE_ERROR)
-        elim_ack = (e0 | e1) & acked
-        elim_busy = e1 & busy
-        arm = e0 & sil
-        bit = (sids >> aphase) & 1
-        athr = np.where(arm, np.where(bit == 1, self.t1[m], self.t0[m]), athr)
-        asil = np.where(arm, 0, asil)
-        ast_n = np.where(arm, 1, ast)
-        count = e1 & sil
-        asil = asil + count
-        fire = count & (asil >= athr)
-        ast_n = np.where(fire, 2, ast_n)
+        fire, elim_ack, elim_busy, won = _abs_core_step(
+            self, m, st == self.election, fb
+        )
         acts[fire] = _A_TX_PKT  # AO-ARRoW cores carry packets
-        collide = e2 & busy
-        aphase = aphase + collide
-        ast_n = np.where(collide, 0, ast_n)
-        won = e2 & acked
         self.won_count[m] += won
         drain_enter = won & has_q
         new_st[drain_enter] = 2
@@ -325,23 +258,13 @@ class AOArrowProgram(NestedAbsCoreProgram):
         # --- fresh elections (box (2)); action is core.start(): LISTEN.
         self.entered[m] += begin_el
         new_st[begin_el] = 1
-        ast_n = np.where(begin_el, 0, ast_n)
-        aphase[begin_el] = 0
-        asil[begin_el] = 0
-        athr[begin_el] = 0
-        used = self.aused[m]
-        used[begin_el] = 0
-        self.aused[m] = used
+        _fresh_core(self, m[begin_el])
 
         self.state[m] = new_st
         self.wait[m] = wait
         self.silence[m] = silence
         self.saw[m] = saw
         self.sync[m] = sync
-        self.ast[m] = ast_n
-        self.aphase[m] = aphase
-        self.asil[m] = asil
-        self.athr[m] = athr
         return acts
 
 
@@ -375,13 +298,10 @@ class CAArrowProgram(AlgorithmProgram):
 
     def step(self, m, fb, q, new_index):
         st = self.state[m]
-        turn = self.turn[m].copy()
-        heard = self.heard[m].copy()
-        gap_count = self.gap_count[m].copy()
-        noise = self.noise[m]
+        turn = self.turn[m]
+        heard = self.heard[m]
+        gap_count = self.gap_count[m]
         sil = fb == _F_SILENCE
-        busy = fb == _F_BUSY
-        acked = fb == _F_ACK
         act = ~sil
         has_q = q > 0
 
@@ -390,26 +310,18 @@ class CAArrowProgram(AlgorithmProgram):
             raise ProtocolError(_TX_SILENCE_ERROR)
         acts = np.zeros(len(m), dtype=np.int8)
         new_st = st.copy()
-        new_noise = noise.copy()
 
-        retry = tx & busy
+        retry = tx & (fb == _F_BUSY)
         self.unexpected_busy[m] += retry
-        acts[retry] = np.where(noise[retry], _A_TX_CTRL, _A_TX_PKT)
-        done = tx & acked
-        done_noise = done & noise
-        self.empty_signals[m] += done_noise
-        done_pkt = done & ~noise
-        self.packets_sent[m] += done_pkt
-        burst_more = done_pkt & has_q
-        acts[burst_more] = _A_TX_PKT
+        acts[retry] = np.where(self.noise[m][retry], _A_TX_CTRL, _A_TX_PKT)
+        over = _end_turn_on_ack(self, m, tx & (fb == _F_ACK), has_q, acts)
 
         waiting = st == 0
+        advance = over | (waiting & sil & heard)
         heard |= waiting & act
         in_gap = st == 1
         gap_count[in_gap & act] = 0
 
-        advance = done_noise | (done_pkt & ~burst_more)
-        advance |= waiting & sil & self.heard[m]
         turn[advance] = turn[advance] % self.n[m][advance] + 1
         heard[advance] = False
         to_gap = advance & (turn == self.sids[m])
@@ -418,22 +330,15 @@ class CAArrowProgram(AlgorithmProgram):
         new_st[advance & ~to_gap] = 0
 
         counting = in_gap & sil
-        gap_count = gap_count + counting
+        gap_count += counting
         begin = counting & (gap_count >= self.gap_slots[m])
-        self.turns_taken[m] += begin
+        _begin_turn(self, m, begin, has_q, acts)
         new_st[begin] = 2
-        begin_pkt = begin & has_q
-        begin_ctrl = begin & ~has_q
-        new_noise[begin_pkt] = False
-        new_noise[begin_ctrl] = True
-        acts[begin_pkt] = _A_TX_PKT
-        acts[begin_ctrl] = _A_TX_CTRL
 
         self.state[m] = new_st
         self.turn[m] = turn
         self.heard[m] = heard
         self.gap_count[m] = gap_count
-        self.noise[m] = new_noise
         return acts
 
 
@@ -468,20 +373,17 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
 
     def step(self, m, fb, q, new_index):
         st = self.state[m]
-        turn = self.turn[m].copy()
-        heard = self.heard[m].copy()
-        gap_count = self.gap_count[m].copy()
-        noise = self.noise[m]
-        silent = self.silent[m].copy()
-        skip = self.skip[m].copy()
-        conflict = self.conflict[m].copy()
-        lrounds = self.ladder_rounds[m].copy()
-        claimflag = self.claimflag[m].copy()
+        turn = self.turn[m]
+        heard = self.heard[m]
+        gap_count = self.gap_count[m]
+        silent = self.silent[m]
+        skip = self.skip[m]
+        conflict = self.conflict[m]
+        lrounds = self.ladder_rounds[m]
+        claimflag = self.claimflag[m]
         n = self.n[m]
         sids = self.sids[m]
         sil = fb == _F_SILENCE
-        busy = fb == _F_BUSY
-        acked = fb == _F_ACK
         act = ~sil
         has_q = q > 0
 
@@ -492,20 +394,15 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
         new_st = st.copy()
 
         # --- transmitting members ------------------------------------
-        tx_busy = tx & busy
+        tx_busy = tx & (fb == _F_BUSY)
         self.unexpected_busy[m] += tx_busy
         conflict[tx_busy] = True
         claimflag[tx_busy] = False
         new_st[tx_busy] = 0
         heard[tx_busy] = True
-        tx_ack = tx & acked
+        tx_ack = tx & (fb == _F_ACK)
         conflict[tx_ack] = False
-        ack_noise = tx_ack & noise
-        self.empty_signals[m] += ack_noise
-        ack_pkt = tx_ack & ~noise
-        self.packets_sent[m] += ack_pkt
-        burst_more = ack_pkt & has_q
-        acts[burst_more] = _A_TX_PKT
+        over = _end_turn_on_ack(self, m, tx_ack, has_q, acts)
         silent[tx] = 0
         skip[tx] = 0
 
@@ -514,7 +411,7 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
         # Classification uses the pre-reset silent run: a claim follows
         # a silence every station counted past A_1.
         claimy = ntx_act & (silent >= self.a1[m])
-        lrounds = lrounds + claimy
+        lrounds += claimy
         ring_reset = claimy & (lrounds >= n)
         lrounds[ring_reset] = 0
         turn[ring_reset] = 0
@@ -530,26 +427,15 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
 
         # --- silence heard by non-transmitting members ---------------
         ntx_sil = ~tx & sil
-        silent = silent + ntx_sil
+        silent += ntx_sil
         g_sil = ntx_sil & (st == 1)
-        gap_count = gap_count + g_sil
+        gap_count += g_sil
         begin = g_sil & (gap_count >= self.gap_slots[m])
-        silent[begin] = 0
-        skip[begin] = 0
-        self.turns_taken[m] += begin
-        new_st[begin] = 2
-        new_noise = noise.copy()
-        begin_pkt = begin & has_q
-        begin_ctrl = begin & ~has_q
-        new_noise[begin_pkt] = False
-        new_noise[begin_ctrl] = True
-        acts[begin_pkt] = _A_TX_PKT
-        acts[begin_ctrl] = _A_TX_CTRL
         w_end = ntx_sil & (st == 0) & self.heard[m]
         silent[w_end] = 1  # this silent slot starts the quiet period
 
         # _advance_turn_normal for finished turns and observed turn ends.
-        advance = ack_noise | (ack_pkt & ~burst_more) | w_end
+        advance = over | w_end
         adv_claim = advance & claimflag
         claimflag[adv_claim] = False
         lrounds[advance & ~adv_claim] = 0
@@ -564,55 +450,48 @@ class FaultTolerantCAArrowProgram(AlgorithmProgram):
         # Only wait_end-without-activity and claim members consult it,
         # and every ladder action needs silent_run >= A_1.
         rest = ntx_sil & ~g_sil & ~w_end
-        hot = rest & (silent >= self.a1[m])
-        if bool(np.any(hot)):
-            from ..algorithms.ca_arrow_ft import _ceil
+        for j in np.flatnonzero(rest & (silent >= self.a1[m])).tolist():
+            algo = self.algos[int(m[j])]
+            run = int(silent[j])
+            if st[j] == 3:  # claim: speak once B_k is reached
+                b_k = algo.ladder[int(skip[j]) - 1][1]
+                if conflict[j]:
+                    b_k = _ceil(
+                        b_k
+                        * (2 * algo.max_slot_length)
+                        ** (algo.station_id - 1)
+                    )
+                if run >= b_k:
+                    self.recoveries[m[j]] += 1
+                    lrounds[j] += 1
+                    if lrounds[j] >= n[j]:
+                        lrounds[j] = 0
+                        turn[j] = 0
+                        conflict[j] = False
+                    claimflag[j] = True
+                    begin[j] = True
+            else:  # wait_end without observed activity: skip ahead
+                if skip[j] >= len(algo.ladder):
+                    continue  # ladder exhausted; stay quiet
+                a_k = algo.ladder[int(skip[j])][0]
+                if run >= a_k:
+                    turn[j] = turn[j] % n[j] + 1
+                    skip[j] += 1
+                    self.skips[m[j]] += 1
+                    heard[j] = False
+                    new_st[j] = 3 if turn[j] == sids[j] else 0
 
-            for j in np.nonzero(hot)[0]:
-                algo = self.algos[int(m[j])]
-                run = int(silent[j])
-                if st[j] == 3:  # claim: speak once B_k is reached
-                    b_k = algo.ladder[int(skip[j]) - 1][1]
-                    if conflict[j]:
-                        b_k = _ceil(
-                            b_k
-                            * (2 * algo.max_slot_length)
-                            ** (algo.station_id - 1)
-                        )
-                    if run >= b_k:
-                        self.recoveries[m[j]] += 1
-                        lrounds[j] += 1
-                        if lrounds[j] >= n[j]:
-                            lrounds[j] = 0
-                            turn[j] = 0
-                            conflict[j] = False
-                        claimflag[j] = True
-                        silent[j] = 0
-                        skip[j] = 0
-                        self.turns_taken[m[j]] += 1
-                        new_st[j] = 2
-                        if has_q[j]:
-                            new_noise[j] = False
-                            acts[j] = _A_TX_PKT
-                        else:
-                            new_noise[j] = True
-                            acts[j] = _A_TX_CTRL
-                else:  # wait_end without observed activity: skip ahead
-                    if skip[j] >= len(algo.ladder):
-                        continue  # ladder exhausted; stay quiet
-                    a_k = algo.ladder[int(skip[j])][0]
-                    if run >= a_k:
-                        turn[j] = turn[j] % n[j] + 1
-                        skip[j] += 1
-                        self.skips[m[j]] += 1
-                        heard[j] = False
-                        new_st[j] = 3 if turn[j] == sids[j] else 0
+        # Gap ends and ladder claims begin a turn; the own transmission
+        # is activity.
+        silent[begin] = 0
+        skip[begin] = 0
+        _begin_turn(self, m, begin, has_q, acts)
+        new_st[begin] = 2
 
         self.state[m] = new_st
         self.turn[m] = turn
         self.heard[m] = heard
         self.gap_count[m] = gap_count
-        self.noise[m] = new_noise
         self.silent[m] = silent
         self.skip[m] = skip
         self.conflict[m] = conflict

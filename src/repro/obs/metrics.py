@@ -88,25 +88,17 @@ class Gauge:
 class Histogram:
     """Exact distribution of observed values over the whole run.
 
-    A hot producer may count in integer units instead: it increments
-    the tally :meth:`scaled_counts` hands it, and :attr:`counts`,
-    :attr:`count`, :attr:`total` and :meth:`mean` fold every tally in
-    as exact Fractions when they are read.
+    A producer counts in integer units: it increments the tally
+    :meth:`scaled_counts` hands it, and :attr:`counts`, :attr:`count`,
+    :attr:`total` and :meth:`mean` fold every tally in as exact
+    Fractions when they are read.
     """
 
-    __slots__ = ("name", "_counts", "_count", "_total", "_scaled")
+    __slots__ = ("name", "_scaled")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counts: Dict[Any, int] = {}
-        self._count = 0
-        self._total: Any = 0
         self._scaled: Dict[int, Dict[Any, int]] = {}
-
-    def observe(self, value: Any) -> None:
-        self._counts[value] = self._counts.get(value, 0) + 1
-        self._count += 1
-        self._total = self._total + value
 
     def scaled_counts(self, denominator: int) -> Dict[Any, int]:
         """The live tally of values ``k / denominator``, keyed by ``k``.
@@ -122,9 +114,7 @@ class Histogram:
     @property
     def counts(self) -> Dict[Any, int]:
         """Observation count per value, over the whole run."""
-        if not self._scaled:
-            return self._counts
-        merged = dict(self._counts)
+        merged: Dict[Any, int] = {}
         for denominator, tally in self._scaled.items():
             for units, times in tally.items():
                 value = Fraction(units, denominator)
@@ -133,13 +123,11 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._count + sum(
-            sum(tally.values()) for tally in self._scaled.values()
-        )
+        return sum(sum(tally.values()) for tally in self._scaled.values())
 
     @property
     def total(self) -> Any:
-        total = self._total
+        total: Any = 0
         for denominator, tally in self._scaled.items():
             if tally:
                 units = sum(k * times for k, times in tally.items())

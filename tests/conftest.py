@@ -1,8 +1,17 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures and Hypothesis profiles."""
 
 import gc
 
 import pytest
+from hypothesis import settings
+
+#: CI's larger budget for property tests that take their example count
+#: from the profile (``--hypothesis-profile=ci``).
+settings.register_profile(
+    "ci",
+    max_examples=5 * settings.get_profile("default").max_examples,
+    deadline=None,
+)
 
 
 @pytest.fixture(autouse=True)

@@ -217,7 +217,7 @@ class TestEngineAutoDetection:
         }
         assert adaptive == {
             "ABSLeaderElection", "AOArrow", "CAArrow",
-            "FaultTolerantCAArrow",
+            "FaultTolerantCAArrow", "KSelection",
         }
         assert {cls.__name__ for cls in BATCH_SCHEDULES} >= {
             "Synchronous", "FixedLength", "PerStationFixed",
