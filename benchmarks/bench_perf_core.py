@@ -2,9 +2,9 @@
 
 Thin pytest wrapper over :mod:`repro.exec.perf` (the engine behind
 ``repro bench perf``).  Running this file regenerates
-``benchmarks/results/perf_core.{json,txt}`` in the same *full* mode the
-committed artifact was produced in, so ``repro bench diff`` stays
-meaningful.
+``benchmarks/results/perf_core.{json,txt}`` (or the same files under
+``REPRO_BENCH_RESULTS_DIR``) in the same *full* mode the committed
+artifact was produced in, so ``repro bench diff`` stays meaningful.
 
 Parity (lattice execution == fraction execution, observable-for-
 observable) is asserted inside :func:`repro.exec.perf.run_perf` before
@@ -16,7 +16,7 @@ add noise, and the regression *trajectory* is policed separately by
 
 from repro.exec.perf import run_perf, write_report
 
-from .reporting import RESULTS_DIR
+from .reporting import results_dir
 
 #: CI-safe floor; dev machines measure >= 3x (see results/perf_core.txt).
 MIN_SPEEDUP = 1.5
@@ -30,7 +30,7 @@ def _table_with(document, column):
 
 def test_perf_core(benchmark):
     document = benchmark.pedantic(run_perf, rounds=1, iterations=1)
-    write_report(document, RESULTS_DIR)
+    write_report(document, results_dir())
 
     case_table = _table_with(document, "D")
     speedup_table = _table_with(document, "speedup")

@@ -4,7 +4,9 @@ Every bench regenerates one of the paper's tables/figures (see the
 experiment index in DESIGN.md).  Tables are printed to stdout (the
 ``-s`` pytest default makes them land in ``bench_output.txt``) and
 mirrored into ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can
-reference stable artifacts.
+reference stable artifacts.  Set ``REPRO_BENCH_RESULTS_DIR`` to write
+them elsewhere (CI regenerates into a temporary directory and diffs it
+against the committed reports).
 
 Each report is *also* mirrored into ``benchmarks/results/<name>.json``
 with the same values in machine-readable form, so bench trajectories
@@ -38,6 +40,13 @@ import pathlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+
+
+def results_dir() -> pathlib.Path:
+    """Where reports are written: ``REPRO_BENCH_RESULTS_DIR`` when set,
+    else the committed ``benchmarks/results/``."""
+    raw = os.environ.get("REPRO_BENCH_RESULTS_DIR", "").strip()
+    return pathlib.Path(raw) if raw else RESULTS_DIR
 
 
 def bench_jobs(default: int = 1) -> int:
@@ -152,19 +161,20 @@ def _json_cell(cell: Any) -> Any:
 def emit(
     name: str, lines: Iterable[str], meta: Optional[Dict[str, Any]] = None
 ) -> str:
-    """Print a named report block and persist it under results/.
+    """Print a named report block and persist it under :func:`results_dir`.
 
-    Writes both ``results/<name>.txt`` (the exact text) and
-    ``results/<name>.json`` (the same values, machine-readable).
-    ``meta``, when given, lands in the JSON only — timing/environment
-    facts that ``repro bench diff`` reports but never fails on.
+    Writes both ``<name>.txt`` (the exact text) and ``<name>.json`` (the
+    same values, machine-readable).  ``meta``, when given, lands in the
+    JSON only — timing/environment facts that ``repro bench diff``
+    reports but never fails on.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    root = results_dir()
+    root.mkdir(parents=True, exist_ok=True)
     materialized = list(lines)
     body = "\n".join(materialized)
     block = f"\n===== {name} =====\n{body}\n"
     print(block)
-    (RESULTS_DIR / f"{name}.txt").write_text(body + "\n")
+    (root / f"{name}.txt").write_text(body + "\n")
 
     tables: List[_TableBlock] = []
     preamble: List[str] = []
@@ -181,14 +191,15 @@ def emit(
     }
     if meta:
         document["meta"] = meta
-    (RESULTS_DIR / f"{name}.json").write_text(
-        json.dumps(document, indent=2, sort_keys=False) + "\n"
-    )
-    _record_history(name, meta)
+    artifact = root / f"{name}.json"
+    artifact.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
+    _record_history(name, meta, artifact)
     return block
 
 
-def _record_history(name: str, meta: Optional[Dict[str, Any]]) -> None:
+def _record_history(
+    name: str, meta: Optional[Dict[str, Any]], artifact: pathlib.Path
+) -> None:
     """Index this bench table in the run-history database (best-effort).
 
     Rides the standard ``meta`` block: the :func:`grid_meta` fields map
@@ -213,7 +224,7 @@ def _record_history(name: str, meta: Optional[Dict[str, Any]]) -> None:
         journal_hits=meta.pop("journal_hits", 0) or 0,
         health=health if isinstance(health, dict) else None,
         git_sha=git_sha(),
-        artifact_path=str(RESULTS_DIR / f"{name}.json"),
+        artifact_path=str(artifact),
         extra=meta or None,
     )
 

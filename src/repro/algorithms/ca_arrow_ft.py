@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from ..analysis.bounds import ca_gap_slots
 from ..core.errors import ConfigurationError, ProtocolError
@@ -71,6 +72,20 @@ def skip_thresholds(max_slot_length: TimeLike, max_skips: int) -> List[tuple]:
         ladder.append((_ceil(a_k), _ceil(b_k)))
         a_k = upper * b_k + 2 * upper
     return ladder
+
+
+@lru_cache(maxsize=1)
+def _shared_ladder(max_slot_length: Fraction, depth: int) -> Tuple[tuple, ...]:
+    """:func:`skip_thresholds` as one immutable tuple per ``(R, depth)``.
+
+    Every station of a fleet holds this one object, and so does a
+    :meth:`~repro.core.station.StationAlgorithm.clone` (a deep copy
+    keeps a tuple of ints): the ladder's integers grow by about ``R^2``
+    per level, so a ladder per station made a fleet's build O(n^2).
+    A fleet builds its stations one after another with one
+    ``(R, depth)``, so the cache keeps only the latest ladder alive.
+    """
+    return tuple(skip_thresholds(max_slot_length, depth))
 
 
 @dataclass(slots=True)
@@ -117,7 +132,7 @@ class FaultTolerantCAArrow(StationAlgorithm):
             if max_consecutive_skips is not None
             else n_stations
         )
-        self.ladder = skip_thresholds(self.max_slot_length, depth)
+        self.ladder = _shared_ladder(self.max_slot_length, depth)
 
         self.turn = 1
         self.state = "wait_end"  # wait_end | gap | transmitting | claim

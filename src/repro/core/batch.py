@@ -120,6 +120,7 @@ from .timebase import Interval, OffLatticeError
 from .simulator import (
     _PRUNE_EVERY,
     StationRuntime,
+    check_transmission,
     illegal_action,
     off_lattice_length,
 )
@@ -968,9 +969,10 @@ class TableDrivenProgram(ScheduleProgram):
 
 @schedules(RandomUniform)
 class RandomUniformProgram(ScheduleProgram):
-    """Draws stay scalar calls on the adversary's own ``random.Random``,
-    one per member in ascending station-id order — the object path's
-    exact draw order within a tick."""
+    """Draws stay scalar calls of the adversary's own
+    :meth:`~repro.timing.adversary.RandomUniform.draw`, one per member in
+    ascending station-id order — the object path's exact draw order
+    within a tick."""
 
     @classmethod
     def expected_width(cls, adversary, station_ids):
@@ -982,18 +984,15 @@ class RandomUniformProgram(ScheduleProgram):
         )
 
     def load(self) -> None:
-        adversary = self.adversary
-        lattice_d = self.tb.denominator
-        self.steps = adversary._steps
         # 1 + k/den in ticks: D + k * (D // den); D is an lcm multiple
         # of den by lattice construction, so the division is exact.
+        lattice_d = self.tb.denominator
         self.base = lattice_d
-        self.per_step = lattice_d // adversary._denominator
+        self.per_step = lattice_d // self.adversary._denominator
 
     def lengths(self, m, new_index):
-        randint = self.adversary._rng.randint
-        steps = self.steps
-        draws = [randint(0, steps) for _ in range(len(m))]
+        draw = self.adversary.draw
+        draws = [draw() for _ in range(len(m))]
         return self.base + np.array(draws, dtype=np.int64) * self.per_step
 
 
@@ -1092,12 +1091,9 @@ class BatchKernel:
         # The object loop's checks, in id order: its error for the
         # first illegal first action.
         for i in transmitting:
-            action, algo = actions[i], self.algos[i]
-            if not (
-                self.queues[i] if action.carries_packet
-                else algo.uses_control_messages
-            ):
-                raise illegal_action(self.sids_list[i], algo, action)
+            check_transmission(
+                self.sids_list[i], self.algos[i], actions[i], self.queues[i]
+            )
         self.action_code = codes
         self.slot_index = np.zeros(n, dtype=np.int64)
         self.slot_start = np.zeros(n, dtype=np.int64)

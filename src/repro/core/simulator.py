@@ -31,9 +31,10 @@ the Fraction path for the whole run.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import partial
+from heapq import heappop, heappush
 from itertools import repeat
 from math import lcm
 from time import perf_counter
@@ -73,6 +74,17 @@ _BATCH_CROSSOVER = 20
 #: Compares greater than every internal time (int ticks or Fraction).
 _NEVER = float("inf")
 
+#: The event loop's "no slot length checked yet": no adversary returns it.
+_UNCHECKED = object()
+
+
+def _timed(profiler, phase: str, call: Callable, *args):
+    """``call(*args)``, its wall time booked to ``phase`` of ``profiler``."""
+    began = perf_counter()
+    result = call(*args)
+    profiler.add(phase, perf_counter() - began)
+    return result
+
 
 @dataclass(slots=True)
 class StationRuntime:
@@ -97,6 +109,16 @@ class StationRuntime:
 
 class Simulator:
     """Deterministic discrete-event simulation of one execution.
+
+    The event loop (:meth:`run`) steps each slot end in one loop body,
+    with its callables bound once per call, but keeps on the simulator
+    everything an adversary, an arrival source, a probe callback or
+    ``stop_when`` can read, current whenever that code runs:
+    ``events_processed``, ``now``, the runtimes, the event heap and the
+    backlog.  A look-ahead adversary deep-copies the simulator from
+    inside ``next_slot_length``; the copy is mid-decision (the
+    station's next action committed, its end event off the heap, the
+    event not yet counted) and finishes the slot with :meth:`open_slot`.
 
     Args:
         algorithms: The station automata.  Either a sequence (stations
@@ -236,9 +258,10 @@ class Simulator:
 
         if initial_packets:
             zero = self._timebase.zero
+            zero_public = self._timebase.to_public(zero)
             for sid in self._station_ids:
                 for _ in range(initial_packets):
-                    self._inject(sid, zero)
+                    self._inject(sid, zero, zero_public)
 
         # Engine resolution happens last: eligibility inspects the
         # fully-constructed simulator (timebase, trace, fleet).
@@ -483,13 +506,13 @@ class Simulator:
     # Packet injection
     # ------------------------------------------------------------------
 
-    def _inject(self, station_id: int, at) -> Packet:
+    def _inject(self, station_id: int, at, at_public: Time) -> Packet:
         """Create a packet and hold it pending until the next slot boundary.
 
-        ``at`` is in internal units; the packet's public ``arrival_time``
-        is the exact Fraction.
+        ``at`` is the instant in internal units and ``at_public`` the
+        same instant as the exact Fraction, which becomes the packet's
+        ``arrival_time``.
         """
-        at_public = self._timebase.to_public(at)
         # Ids count the packets injected so far: the backlog and the
         # delivered ones.
         packet = Packet(
@@ -549,7 +572,7 @@ class Simulator:
                     "source's lattice_denominator() declaration or construct "
                     "the Simulator with timebase='fraction'"
                 ) from err
-            self._inject(station_id, internal)
+            self._inject(station_id, internal, exact)
         hint_fn = self._arrival_hint
         if hint_fn is not None:
             hint = hint_fn()
@@ -583,35 +606,43 @@ class Simulator:
     # Slot machinery
     # ------------------------------------------------------------------
 
-    def _validate_action(self, runtime: StationRuntime, action: Action) -> None:
-        if not action.is_transmit:
-            return
-        if action.carries_packet:
-            if not runtime.queue:
-                raise illegal_action(runtime.station_id, runtime.algorithm, action)
-        elif not runtime.algorithm.uses_control_messages:
-            raise illegal_action(runtime.station_id, runtime.algorithm, action)
+    def _phase_calls(self):
+        """The run's adversary, feedback and step callables.
 
-    def _begin_slot(self, runtime: StationRuntime, start, action: Action) -> None:
-        """Open the next slot: fix its adversarial length, start any transmission."""
+        Returns ``(next_slot_length, feedback_for, timed)``: the bound
+        methods and ``None``, or with a profiler attached, the same
+        methods timed into its ``adversary`` and ``channel`` phases and a
+        ``timed(step, ctx)`` that times an automaton step into
+        ``algorithm``.
+        """
+        next_slot_length = self.slot_adversary.next_slot_length
+        feedback_for = self.channel.feedback_for
+        profiler = self.profiler
+        if profiler is None:
+            return next_slot_length, feedback_for, None
+        return (
+            partial(_timed, profiler, "adversary", next_slot_length),
+            partial(_timed, profiler, "channel", feedback_for),
+            partial(_timed, profiler, "algorithm"),
+        )
+
+    def _begin_slot(
+        self, runtime: StationRuntime, start, action: Action, next_slot_length
+    ) -> None:
+        """Open a station's first slot (:meth:`_start`): validate the
+        action (:func:`check_transmission`), commit it, ask the
+        adversary, check the length.  The event loop in :meth:`run`
+        takes the same steps inline, so a change to one goes to both."""
         if action.is_transmit:
-            self._validate_action(runtime, action)
+            check_transmission(
+                runtime.station_id, runtime.algorithm, action, runtime.queue
+            )
         # Commit the station's intent before consulting the adversary:
         # the model's online adversary observes actions when fixing slot
         # lengths, so ``runtime.action`` must already describe the slot
         # being opened (slot_start/end still describe the previous one).
         runtime.action = action
-        profiler = self.profiler
-        if profiler is None:
-            raw_length = self.slot_adversary.next_slot_length(
-                self, runtime.station_id, runtime.slot_index + 1
-            )
-        else:
-            began = perf_counter()
-            raw_length = self.slot_adversary.next_slot_length(
-                self, runtime.station_id, runtime.slot_index + 1
-            )
-            profiler.add("adversary", perf_counter() - began)
+        raw_length = next_slot_length(self, runtime.station_id, runtime.slot_index + 1)
         try:
             length = self._timebase.check_slot_length(
                 raw_length, self._max_slot_internal
@@ -625,13 +656,13 @@ class Simulator:
     def open_slot(self, runtime: StationRuntime, start, length) -> None:
         """Fix the pending slot's length and schedule its end event.
 
-        Split out of :meth:`_begin_slot` so that look-ahead adversaries
-        (see :mod:`repro.timing.lookahead`) can clone a simulator that
-        is mid-decision and complete the probed slot with a candidate
-        length of their choosing.  ``start`` and ``length`` are in the
-        run's internal timebase units; look-ahead adversaries never
-        declare a lattice, so for them internal units are plain public
-        Fractions.
+        The one place a slot opens: :meth:`_start`, the event loop and
+        look-ahead adversaries (see :mod:`repro.timing.lookahead`, which
+        clone a simulator that is mid-decision and complete the probed
+        slot with a candidate length of their choosing) call it.
+        ``start`` and ``length`` are in the run's internal timebase
+        units; look-ahead adversaries never declare a lattice, so for
+        them internal units are plain public Fractions.
         """
         runtime.slot_index += 1
         runtime.slot_start = start
@@ -645,7 +676,7 @@ class Simulator:
             aboard = runtime.queue.head() if action.carries_packet else None
             runtime.aboard_packet = aboard
             self.channel.begin_transmission(runtime.station_id, interval, aboard)
-        heapq.heappush(self._heap, (end, runtime.station_id))
+        heappush(self._heap, (end, runtime.station_id))
 
     def _start(self, kernel=None) -> None:
         """Open every station's first slot at time 0.
@@ -660,135 +691,19 @@ class Simulator:
                 kernel.start()
             return
         zero = self._timebase.zero
+        next_slot_length, _, timed = self._phase_calls()
         with collector_paused():
             stations = self._runtimes()
             self._pump_arrivals(zero)
             for runtime in stations.values():
                 self._deliver_pending(runtime, zero)
-                ctx = SlotContext(
-                    feedback=None, queue_size=len(runtime.queue), slot_index=0
-                )
-                if self.profiler is None:
-                    action = runtime.algorithm.first_action(ctx)
+                ctx = SlotContext(None, len(runtime.queue), 0)
+                first_action = runtime.algorithm.first_action
+                if timed is None:
+                    action = first_action(ctx)
                 else:
-                    action = self._timed_algorithm_step(
-                        runtime.algorithm.first_action, ctx
-                    )
-                self._begin_slot(runtime, zero, action)
-
-    def _timed_algorithm_step(self, step: Callable[[SlotContext], Action], ctx: SlotContext) -> Action:
-        """Run one automaton step, attributing its wall time when profiling."""
-        profiler = self.profiler
-        if profiler is None:
-            return step(ctx)
-        began = perf_counter()
-        action = step(ctx)
-        profiler.add("algorithm", perf_counter() - began)
-        return action
-
-    def _compute_feedback(self, runtime: StationRuntime) -> Feedback:
-        return self.channel.feedback_for(runtime.slot_interval)
-
-    def _process_event(self) -> None:
-        end_time, sid = heapq.heappop(self._heap)
-        runtime = self._stations[sid]
-        if end_time != runtime.slot_end:
-            raise SimulationError(
-                f"event heap desync for station {sid}: {end_time} != {runtime.slot_end}"
-            )
-        self._now_internal = end_time
-        self._now_exact = None
-        # Inlined polling-skip check (``_pump_arrivals`` re-checks, but
-        # skipping the call entirely is measurable at event rate).
-        if end_time >= self._arrivals_not_before:
-            self._pump_arrivals(end_time)
-        profiler = self.profiler
-        if profiler is None:
-            feedback = self._compute_feedback(runtime)
-        else:
-            began = perf_counter()
-            feedback = self._compute_feedback(runtime)
-            profiler.add("channel", perf_counter() - began)
-        probes = self.probes
-        timebase = self._timebase
-
-        delivered = False
-        if (
-            feedback is Feedback.ACK
-            and runtime.action is not None
-            and runtime.action.is_transmit
-            and runtime.aboard_packet is not None
-        ):
-            # A transmitting station's ACK can only certify its own
-            # transmission (any other success would have overlapped it).
-            packet = runtime.queue.pop_delivered()
-            if packet is not runtime.aboard_packet:
-                raise SimulationError(
-                    f"station {sid}: queue head changed under a transmission"
-                )
-            end_public = timebase.to_public(end_time)
-            packet.mark_delivered(
-                at=end_public,
-                cost=timebase.to_public(runtime.slot_interval.duration),
-            )
-            self._delivered_packets.append(packet)
-            self._total_backlog -= 1
-            self.trace.on_backlog_change(end_public, self._total_backlog)
-            delivered = True
-            if probes is not None and probes.delivery:
-                event = DeliveryEvent(
-                    packet_id=packet.packet_id,
-                    station_id=sid,
-                    at=end_public,
-                    latency=packet.latency,
-                    cost=packet.cost,
-                    backlog=self._total_backlog,
-                )
-                for callback in probes.delivery:
-                    callback(event)
-
-        self._deliver_pending(runtime, end_time)
-        runtime.slots_elapsed += 1
-
-        if probes is not None and probes.slot_end and runtime.action is not None:
-            carried = runtime.aboard_packet
-            # Positional, in field order: matching ten keywords costs
-            # about as much as the rest of the construction.
-            event = SlotEndEvent(
-                sid,
-                runtime.slot_index,
-                runtime.slot_interval,
-                timebase,
-                runtime.action,
-                feedback,
-                len(runtime.queue),
-                delivered,
-                self._total_backlog,
-                carried.packet_id if carried else None,
-            )
-            for callback in probes.slot_end:
-                callback(event)
-
-        ctx = SlotContext(
-            feedback=feedback,
-            queue_size=len(runtime.queue),
-            slot_index=runtime.slot_index + 1,
-        )
-        if profiler is None:
-            next_action = runtime.algorithm.on_slot_end(ctx)
-        else:
-            next_action = self._timed_algorithm_step(
-                runtime.algorithm.on_slot_end, ctx
-            )
-        self._begin_slot(runtime, end_time, next_action)
-
-        self.events_processed += 1
-        if (
-            not self.keep_channel_history
-            and self.events_processed % _PRUNE_EVERY == 0
-        ):
-            low_water = min(rt.slot_start for rt in self._stations.values())
-            self.channel._prune_internal(low_water)
+                    action = timed(first_action, ctx)
+                self._begin_slot(runtime, zero, action, next_slot_length)
 
     # ------------------------------------------------------------------
     # Run loops
@@ -845,7 +760,30 @@ class Simulator:
             self._start()
             if stop_when is not None and stop_when(self):
                 return self
+        # Bound once per call, after the start and any write-back (the
+        # runtimes and the heap exist only from then on).  Counters,
+        # the clock and the backlog stay on ``self``, where adversaries,
+        # sources, probes and ``stop_when`` read them; the locals are
+        # callables, constants, the simulator's own heap, runtime and
+        # pending-arrival containers (the objects, not copies) and the
+        # last slot length checked.
         heap = self._heap
+        stations = self._stations
+        pending = self._pending_arrivals
+        channel = self.channel
+        next_slot_length, feedback_for, timed = self._phase_calls()
+        open_slot = self.open_slot
+        timebase = self._timebase
+        to_public = timebase.to_public
+        check_slot_length = timebase.check_slot_length
+        max_internal = self._max_slot_internal
+        probes = self.probes
+        prune = not self.keep_channel_history
+        ack = Feedback.ACK
+        # The last raw length the adversary returned and its checked
+        # value: the same object again (``Synchronous``'s shared one, a
+        # cyclic pattern's entries) needs no second check.
+        checked_raw = checked = _UNCHECKED
         while True:
             if max_events is not None and self.events_processed >= max_events:
                 return self
@@ -858,7 +796,107 @@ class Simulator:
                 self._now_internal = limit_internal
                 self._now_exact = limit_time
                 return self
-            self._process_event()
+
+            # One slot end: close the slot ...
+            end_time, sid = heappop(heap)
+            runtime = stations[sid]
+            if end_time != runtime.slot_end:
+                raise SimulationError(
+                    f"event heap desync for station {sid}: {end_time} != {runtime.slot_end}"
+                )
+            self._now_internal = end_time
+            self._now_exact = None
+            if end_time >= self._arrivals_not_before:
+                self._pump_arrivals(end_time)
+            interval = runtime.slot_interval
+            feedback = feedback_for(interval)
+            action = runtime.action
+            queue = runtime.queue
+            delivered = False
+            if (
+                feedback is ack
+                and action is not None
+                and action.is_transmit
+                and runtime.aboard_packet is not None
+            ):
+                # A transmitting station's ACK can only certify its own
+                # transmission (any other success would have overlapped it).
+                packet = queue.pop_delivered()
+                if packet is not runtime.aboard_packet:
+                    raise SimulationError(
+                        f"station {sid}: queue head changed under a transmission"
+                    )
+                end_public = to_public(end_time)
+                packet.mark_delivered(
+                    at=end_public, cost=to_public(interval.duration)
+                )
+                self._delivered_packets.append(packet)
+                self._total_backlog -= 1
+                self.trace.on_backlog_change(end_public, self._total_backlog)
+                delivered = True
+                if probes is not None and probes.delivery:
+                    event = DeliveryEvent(
+                        packet_id=packet.packet_id,
+                        station_id=sid,
+                        at=end_public,
+                        latency=packet.latency,
+                        cost=packet.cost,
+                        backlog=self._total_backlog,
+                    )
+                    for callback in probes.delivery:
+                        callback(event)
+            if sid in pending:
+                self._deliver_pending(runtime, end_time)
+            runtime.slots_elapsed += 1
+            queue_size = len(queue)
+            slot_index = runtime.slot_index
+            if probes is not None and probes.slot_end and action is not None:
+                carried = runtime.aboard_packet
+                # Positional, in field order: matching ten keywords costs
+                # about as much as the rest of the construction.
+                event = SlotEndEvent(
+                    sid,
+                    slot_index,
+                    interval,
+                    timebase,
+                    action,
+                    feedback,
+                    queue_size,
+                    delivered,
+                    self._total_backlog,
+                    carried.packet_id if carried else None,
+                )
+                for callback in probes.slot_end:
+                    callback(event)
+
+            # ... step the automaton ...
+            algorithm = runtime.algorithm
+            ctx = SlotContext(feedback, queue_size, slot_index + 1)
+            if timed is None:
+                action = algorithm.on_slot_end(ctx)
+            else:
+                action = timed(algorithm.on_slot_end, ctx)
+
+            # ... and open the next slot: validate the action, commit it
+            # (the adversary observes it), ask for the length, check it.
+            if action.is_transmit:
+                check_transmission(sid, algorithm, action, queue_size)
+            runtime.action = action
+            raw_length = next_slot_length(self, sid, slot_index + 1)
+            if raw_length is not checked_raw:
+                try:
+                    checked = check_slot_length(raw_length, max_internal)
+                except OffLatticeError as err:
+                    raise off_lattice_length(
+                        self.slot_adversary, raw_length, timebase
+                    ) from err
+                checked_raw = raw_length
+            open_slot(runtime, end_time, checked)
+
+            events = self.events_processed = self.events_processed + 1
+            if prune and events % _PRUNE_EVERY == 0:
+                low_water = min(rt.slot_start for rt in stations.values())
+                channel._prune_internal(low_water)
             if stop_when is not None and stop_when(self):
                 return self
 
@@ -923,6 +961,18 @@ class Simulator:
         if kernel is not None and kernel.runtimes_stale:
             return int(kernel.slots_elapsed.max())
         return max(rt.slots_elapsed for rt in self._runtimes().values())
+
+
+def check_transmission(station_id: int, algorithm, action: Action, queued) -> None:
+    """Raise :func:`illegal_action`'s error unless the transmitting
+    ``action`` is legal: a packet needs ``queued`` (the queue's length,
+    or the queue) to be true, a control message an algorithm that
+    declares them.  Every engine checks an opened slot's action here."""
+    if action.carries_packet:
+        if not queued:
+            raise illegal_action(station_id, algorithm, action)
+    elif not algorithm.uses_control_messages:
+        raise illegal_action(station_id, algorithm, action)
 
 
 def illegal_action(station_id: int, algorithm, action: Action) -> ProtocolError:

@@ -26,6 +26,7 @@ from ..algorithms import (
 )
 from ..arrivals import BurstyRate, PoissonLike, UniformRate
 from ..core.errors import ConfigurationError
+from ..core.timebase import as_time
 from ..faults import PeriodicJammer, ReactiveJammer, crash_fleet
 from ..timing import (
     CyclicPattern,
@@ -189,7 +190,8 @@ def _bursty(spec, targets=None, assumed_cost=None, start=0, limit=None):
 @SOURCES.register("poisson", summary="admissibility-clamped random gaps")
 def _poisson(spec, burstiness=None, targets=None, assumed_cost=None,
              start=0, limit=None, denominator: int = 16):
-    cost = assumed_cost if assumed_cost is not None else spec.max_slot
+    # A JSON spec gives the cost as a string: convert before scaling.
+    cost = as_time(assumed_cost) if assumed_cost is not None else spec.max_slot
     return PoissonLike(
         rho=_require_rho(spec, "poisson"),
         burstiness=burstiness if burstiness is not None else spec.burst * cost,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -140,6 +141,18 @@ class CyclicPattern(SlotAdversary):
         )
 
 
+@lru_cache(maxsize=256)
+def _uniform_length(denominator: int, k: int) -> Fraction:
+    """``1 + k/denominator``, one object per recently drawn ``(den, k)``.
+
+    A repeated draw returns the object it returned before, which the
+    event loop checks only once (:meth:`repro.core.Simulator.run`), and
+    skips building a new Fraction; the cache's bound keeps the memory
+    constant however fine the denominator.
+    """
+    return Fraction(denominator + k, denominator)
+
+
 class RandomUniform(SlotAdversary):
     """Independent random rational slot lengths in ``[1, R]``.
 
@@ -163,10 +176,24 @@ class RandomUniform(SlotAdversary):
             raise ConfigurationError(
                 f"R - 1 = {span} is not a multiple of 1/{denominator}"
             )
+        self._bits = (self._steps + 1).bit_length()
+
+    def draw(self) -> int:
+        """One ``k`` uniform in ``0..steps``: ``randint(0, steps)``.
+
+        The rejection loop ``randint`` runs, without its three Python
+        frames: it consumes the same bits and leaves the generator in
+        the same state.  Both engines draw here.
+        """
+        getrandbits = self._rng.getrandbits
+        steps = self._steps
+        k = getrandbits(self._bits)
+        while k > steps:
+            k = getrandbits(self._bits)
+        return k
 
     def next_slot_length(self, sim, station_id: int, slot_index: int) -> Fraction:
-        k = self._rng.randint(0, self._steps)
-        return Fraction(self._denominator + k, self._denominator)
+        return _uniform_length(self._denominator, self.draw())
 
     def lattice_denominator(self) -> int:
         return self._denominator

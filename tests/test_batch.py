@@ -22,6 +22,7 @@ Contract under test (see ``docs/vectorization.md``):
 
 import dataclasses
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -473,6 +474,22 @@ class TestBatchObjectParity:
         object_sim, batch_sim = paired(spec)
         object_sim.run(until_time=spec.horizon)
         batch_sim.run(until_time=spec.horizon)
+        assert fingerprint(object_sim) == fingerprint(batch_sim)
+
+    def test_random_schedule_on_a_fine_lattice_bit_identical(self):
+        # A length per draw in ticks: the kernel's memory does not grow
+        # with the schedule's (R - 1) * denominator + 1 choices.
+        spec = spec_for("aloha", schedule="random", max_slot=3, horizon=150)
+        spec = spec.replace(schedule={"name": "random", "denominator": 10**6})
+        object_sim, batch_sim = paired(spec)
+        object_sim.run(until_time=spec.horizon)
+        tracemalloc.start()
+        try:
+            batch_sim.run(until_time=spec.horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
         assert fingerprint(object_sim) == fingerprint(batch_sim)
 
     def test_chunked_max_events_and_prune_boundaries(self):

@@ -87,6 +87,14 @@ class TestSkipThresholds:
             for a_k, b_k in skip_thresholds(R, 3):
                 assert b_k >= R * a_k  # every station has skipped first
 
+    def test_a_fleet_and_its_clones_share_one_ladder(self):
+        n, R = 7, 3
+        fleet = [FaultTolerantCAArrow(i, n, R) for i in range(1, n + 1)]
+        ladder = fleet[0].ladder
+        assert all(algo.ladder is ladder for algo in fleet)
+        assert fleet[4].clone().ladder is ladder
+        assert list(ladder) == skip_thresholds(R, n)
+
 
 class TestFaultTolerantCA:
     def test_identical_to_ca_without_crashes(self):

@@ -209,6 +209,32 @@ class TestProtocolEnforcement:
         with pytest.raises(ProtocolError):
             sim.run(until_time=1)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("packet", "transmitted a packet from an empty queue"),
+        ("control", "sent a control message but declares "
+                    "uses_control_messages=False"),
+    ])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+    def test_first_and_later_slots_reject_alike(self, kind, message, first):
+        # _start opens first slots, the event loop every later one.
+        from repro.core import TRANSMIT_CONTROL
+
+        illegal = TRANSMIT_PACKET if kind == "packet" else TRANSMIT_CONTROL
+
+        class Offender(StationAlgorithm):
+            uses_control_messages = False
+
+            def first_action(self, ctx):
+                return illegal if first else LISTEN
+
+            def on_slot_end(self, ctx):
+                return illegal
+
+        sim = Simulator({3: Offender()}, Synchronous(), 1)
+        with pytest.raises(ProtocolError, match=f"^station 3: Offender {message}$"):
+            sim.run(until_time=3)
+        assert sim.stations[3].slots_elapsed == (0 if first else 1)
+
 
 class TestArrivalsDelivery:
     def test_arrival_visible_at_next_slot_boundary(self):

@@ -1,5 +1,7 @@
 """Unit tests for the slot-length adversaries."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,42 @@ class TestRandomUniform:
         for j in range(200):
             length = adv.next_slot_length(_Sim(), 1, j)
             assert 1 <= length <= 4
+
+    @pytest.mark.parametrize("steps", [0, 1, 7, 8, 15])
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**40 + 7])
+    def test_draw_is_randint(self, steps, seed):
+        # The same values, and the same bits consumed: steps = 0 still
+        # draws (randint(0, 0) redraws a bit until it reads 0).
+        adv = RandomUniform(steps + 1, seed=seed, denominator=1)
+        reference = random.Random(seed)
+        draws = [adv.draw() for _ in range(300)]
+        assert draws == [reference.randint(0, steps) for _ in range(300)]
+        assert adv._rng.getstate() == reference.getstate()
+
+    def test_lengths_are_one_plus_draw_over_denominator(self):
+        adv = RandomUniform(3, seed=5, denominator=8)
+        reference = random.Random(5)
+        lengths = [adv.next_slot_length(_Sim(), 1, j) for j in range(200)]
+        assert lengths == [
+            Fraction(8 + reference.randint(0, 16), 8) for _ in range(200)
+        ]
+
+    def test_a_fine_denominator_keeps_memory_constant(self):
+        # Each length is made on its draw (a bounded cache shares the
+        # repeats), never as a table of all (R - 1) * denominator + 1.
+        den = 10**5
+        tracemalloc.start()
+        try:
+            adv = RandomUniform(2, seed=3, denominator=den)
+            lengths = [adv.next_slot_length(_Sim(), 1, j) for j in range(500)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        reference = random.Random(3)
+        assert lengths == [
+            Fraction(den + reference.randint(0, den), den) for _ in range(500)
+        ]
 
     def test_non_divisible_span_rejected(self):
         with pytest.raises(ConfigurationError):
